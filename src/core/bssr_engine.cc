@@ -100,6 +100,23 @@ struct SimDecisionMemo {
   }
 };
 
+// Kuhn's augmenting path for the precheck's Hall test: seats position `m`
+// on one of its listed PoIs, moving that PoI's holder when it can reseat.
+bool SeatPosition(int m, int k, QueryWorkspace::PlanScratch* ps) {
+  ps->visited[static_cast<size_t>(m)] = 1;
+  for (int i = 0; i < ps->counts[static_cast<size_t>(m)]; ++i) {
+    const PoiId p = ps->matches[static_cast<size_t>(m * k + i)];
+    const auto holder = std::find(ps->seat.begin(), ps->seat.end(), p);
+    const auto h = static_cast<size_t>(holder - ps->seat.begin());
+    if (holder == ps->seat.end() ||
+        (!ps->visited[h] && SeatPosition(static_cast<int>(h), k, ps))) {
+      ps->seat[static_cast<size_t>(m)] = p;
+      return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 BssrEngine::BssrEngine(const Graph& graph, const CategoryForest& forest,
@@ -115,10 +132,13 @@ BssrEngine::BssrEngine(const Graph& graph, const CategoryForest& forest,
        static_cast<const DistanceOracle*>(&buckets_->oracle()) != oracle_)) {
     buckets_ = nullptr;
   }
+  pois_per_category_.assign(static_cast<size_t>(forest_->num_categories()),
+                            0);
   for (PoiId p = 0; p < g_->num_pois(); ++p) {
-    if (g_->PoiCategories(p).size() > 1) {
-      has_multi_category_poi_ = true;
-      break;
+    const std::span<const CategoryId> cats = g_->PoiCategories(p);
+    has_multi_category_poi_ = has_multi_category_poi_ || cats.size() > 1;
+    for (CategoryId c : cats) {
+      if (forest_->Valid(c)) ++pois_per_category_[static_cast<size_t>(c)];
     }
   }
 }
@@ -153,69 +173,41 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
       trace != nullptr ? trace->aggregates() : PhaseAggregates{};
   TraceSpan query_span(trace, TracePhase::kQuery);
 
-  const SimilarityFunction& sim_fn =
-      options.similarity ? *options.similarity : *DefaultSimilarity();
   const SemanticAggregator agg(options.aggregation);
   const int k = query.size();
-
-  std::vector<PositionMatcher>& matchers = ws_.matchers;
-  matchers.clear();
-  matchers.reserve(static_cast<size_t>(k));
-  for (const CategoryPredicate& pred : query.sequence) {
-    matchers.emplace_back(*g_, *forest_, sim_fn, pred,
-                          options.multi_category);
+  const QueryPlan plan = Plan(query, options);
+  const std::vector<PositionMatcher>& matchers = ws_.matchers;
+  const bool needs_deferred_lemma55 = plan.deferred_lemma55;
+  const RetrieverKind rk = options.retriever;
+  if (exp != nullptr) {
+    exp->oracle =
+        oracle_ != nullptr ? OracleKindName(oracle_->kind()) : "none";
+    exp->infeasible_position = plan.infeasible_position;
+    exp->infeasible_reason = plan.infeasible_reason;
+    exp->deferred_lemma55 = needs_deferred_lemma55;
+    exp->retriever_requested = RetrieverKindName(rk);
+    exp->bucket_backend = plan.bucket_backend;
+    exp->resume_backend = plan.resume_backend;
+    exp->cost_fwd_settles =
+        oracle_ != nullptr ? oracle_->ApproxSearchSettles() : 0;
+    exp->cost_settle_density =
+        buckets_ != nullptr ? buckets_->SettleDensity() : 0.0;
+    exp->cost_num_vertices = g_->num_vertices();
+    exp->positions.resize(static_cast<size_t>(k));
   }
-  // Per-position similarity memos: a PoI's similarity is evaluated at most
-  // once per query position, then read back as an array hit in the settle
-  // loops and the full-PoI scans. Attached only after the matcher vector is
-  // fully built (emplace_back may reallocate).
-  if (ws_.sim_memo.size() < static_cast<size_t>(k)) {
-    ws_.sim_memo.resize(static_cast<size_t>(k));
-  }
-  for (int m = 0; m < k; ++m) {
-    ws_.sim_memo[static_cast<size_t>(m)].Prepare(g_->num_pois(), -1.0);
-    matchers[static_cast<size_t>(m)].AttachSimCache(
-        &ws_.sim_memo[static_cast<size_t>(m)]);
-  }
-
-  // Lemma 5.5 is sound exactly when a blocking PoI can never be usable at
-  // any OTHER position of the route (see modified_dijkstra.h): no PoI may
-  // semantically match two positions. The structural pre-check — pairwise-
-  // disjoint position trees and single-category PoIs — proves that for the
-  // common workload without touching PoIs; when it can't, the exact per-PoI
-  // test decides (its memoized similarities are reused by every later
-  // stage, so the scan is mostly prewarming) — except on PoI sets large
-  // enough that the scan itself could dominate a small query, which keep
-  // the conservative answer. A single-position query can never reuse a
-  // blocker elsewhere, so it always keeps the cuts.
-  bool needs_deferred_lemma55 = has_multi_category_poi_;
-  for (int i = 0; !needs_deferred_lemma55 && i < k; ++i) {
-    for (int j = i + 1; !needs_deferred_lemma55 && j < k; ++j) {
-      for (TreeId t : matchers[static_cast<size_t>(i)].trees()) {
-        const auto& tj = matchers[static_cast<size_t>(j)].trees();
-        if (std::find(tj.begin(), tj.end(), t) != tj.end()) {
-          needs_deferred_lemma55 = true;
-          break;
-        }
-      }
+  const auto finish = [&]() {
+    if (trace != nullptr) {
+      query_span.Close();  // the root span must land before the aggregate cut
+      stats.phases = trace->aggregates().DiffSince(phases_before);
     }
-  }
-  if (needs_deferred_lemma55 &&
-      (k < 2 || g_->num_pois() <= kExactLemma55ScanMaxPois)) {
-    needs_deferred_lemma55 = false;
-    for (PoiId p = 0; k >= 2 && p < g_->num_pois(); ++p) {
-      int matched = 0;
-      for (int m = 0; m < k; ++m) {
-        if (matchers[static_cast<size_t>(m)].SimOfPoi(p) > 0 &&
-            ++matched >= 2) {
-          break;
-        }
-      }
-      if (matched >= 2) {
-        needs_deferred_lemma55 = true;
-        break;
-      }
-    }
+    stats.elapsed_ms = timer.ElapsedMillis();
+    return std::move(result);
+  };
+  // No route can exist: the answer is the empty skyline, and no tail, seed,
+  // bound or queue is touched.
+  if (plan.infeasible_position >= 0) {
+    stats.precheck_infeasible = 1;
+    return finish();
   }
 
   // Destination distances (§6): D(v, destination) for every v. Directed
@@ -305,44 +297,8 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
   ws_.qb.Reset(options.queue_discipline, k);
   QbQueue& qb = ws_.qb;
 
-  // --- PoI-retrieval plan (src/retrieval/): which backend answers fresh
-  // expansion searches. Bucket scans and resumable slots apply only in
-  // deferred-Lemma-5.5 mode, where the traversal is matcher-independent and
-  // an expansion is exactly "all matching PoIs within the budget radius, in
-  // (dist, vertex) order" — a query the bucket tables answer without
-  // settling road vertices. Every backend is bit-identical (the
-  // differential harness sweeps them); the plan is purely a speed choice,
-  // and it is a pure function of the query so work counters stay
-  // deterministic.
-  const RetrieverKind rk = options.retriever;
-  const bool bucket_backend =
-      needs_deferred_lemma55 && buckets_ != nullptr &&
-      (rk == RetrieverKind::kBucket ||
-       (rk == RetrieverKind::kAuto &&
-        RetrieverCostModel::PreferBucket(oracle_->ApproxSearchSettles(),
-                                         buckets_->SettleDensity(),
-                                         g_->num_vertices())));
-  const bool resume_backend =
-      needs_deferred_lemma55 &&
-      (rk == RetrieverKind::kResume ||
-       (rk == RetrieverKind::kAuto && buckets_ != nullptr));
   std::optional<BucketRetriever> bucket;
-  if (bucket_backend) bucket.emplace(*buckets_);
-
-  if (exp != nullptr) {
-    exp->oracle =
-        oracle_ != nullptr ? OracleKindName(oracle_->kind()) : "none";
-    exp->deferred_lemma55 = needs_deferred_lemma55;
-    exp->retriever_requested = RetrieverKindName(rk);
-    exp->bucket_backend = bucket_backend;
-    exp->resume_backend = resume_backend;
-    exp->cost_fwd_settles =
-        oracle_ != nullptr ? oracle_->ApproxSearchSettles() : 0;
-    exp->cost_settle_density =
-        buckets_ != nullptr ? buckets_->SettleDensity() : 0.0;
-    exp->cost_num_vertices = g_->num_vertices();
-    exp->positions.resize(static_cast<size_t>(k));
-  }
+  if (plan.bucket_backend) bucket.emplace(*buckets_);
 
   // --- Optimization 1: initial search (§5.3.1). ---
   if (options.use_initial_search) {
@@ -632,7 +588,6 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
       }
     };
 
-    const bool use_bucket = bucket_backend;
     bool is_rerun = false;
     if (options.use_cache) {
       const MdijkstraCache::Entry* entry = cache.Find(src, m);
@@ -651,7 +606,7 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
       }
     }
 
-    if (use_bucket) {
+    if (plan.bucket_backend) {
       // Bucket backend: materialize the (dist, vertex)-ordered matching
       // stream up to the current budget — or exhaustively, when the budget
       // prunes nothing — then stream it with the budget re-checked between
@@ -690,7 +645,7 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
     // incrementally instead of re-settling its prefix. Falls through to the
     // classic path when the slot pool is at capacity.
     ResumableSlot* slot = nullptr;
-    if (resume_backend) slot = resume_pool.FindOrCreate(*g_, src);
+    if (plan.resume_backend) slot = resume_pool.FindOrCreate(*g_, src);
     if (slot != nullptr) {
       ++stats.retriever_resume_runs;
       if (exp != nullptr) {
@@ -858,12 +813,154 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
 
   stats.skyline_size = skyline.size();
   result.routes = skyline.TakeRoutes();  // move, not deep copy
-  if (trace != nullptr) {
-    query_span.Close();  // the root span must land before the aggregate cut
-    stats.phases = trace->aggregates().DiffSince(phases_before);
+  return finish();
+}
+
+BssrEngine::QueryPlan BssrEngine::Plan(const Query& query,
+                                       const QueryOptions& options) {
+  QueryPlan plan;
+  const SimilarityFunction& sim_fn =
+      options.similarity ? *options.similarity : *DefaultSimilarity();
+  const int k = query.size();
+
+  std::vector<PositionMatcher>& matchers = ws_.matchers;
+  matchers.clear();
+  matchers.reserve(static_cast<size_t>(k));
+  for (const CategoryPredicate& pred : query.sequence) {
+    matchers.emplace_back(*g_, *forest_, sim_fn, pred,
+                          options.multi_category);
   }
-  stats.elapsed_ms = timer.ElapsedMillis();
-  return result;
+  // Per-position similarity memos: a PoI's similarity is evaluated at most
+  // once per query position, then read back as an array hit in the settle
+  // loops and the full-PoI scans. Attached only after the matcher vector is
+  // fully built (emplace_back may reallocate).
+  if (ws_.sim_memo.size() < static_cast<size_t>(k)) {
+    ws_.sim_memo.resize(static_cast<size_t>(k));
+  }
+  for (int m = 0; m < k; ++m) {
+    ws_.sim_memo[static_cast<size_t>(m)].Prepare(g_->num_pois(), -1.0);
+    matchers[static_cast<size_t>(m)].AttachSimCache(
+        &ws_.sim_memo[static_cast<size_t>(m)]);
+  }
+
+  CheckFeasible(query, &plan);
+  if (plan.infeasible_position >= 0) return plan;
+
+  // Lemma 5.5 is sound exactly when a blocking PoI can never be usable at
+  // any OTHER position of the route (see modified_dijkstra.h): no PoI may
+  // semantically match two positions. The structural pre-check — pairwise-
+  // disjoint position trees and single-category PoIs — proves that for the
+  // common workload without touching PoIs; when it can't, the exact per-PoI
+  // test decides (its memoized similarities are reused by every later
+  // stage, so the scan is mostly prewarming) — except on PoI sets large
+  // enough that the scan itself could dominate a small query, which keep
+  // the conservative answer. A single-position query can never reuse a
+  // blocker elsewhere, so it always keeps the cuts.
+  bool needs_deferred_lemma55 = has_multi_category_poi_;
+  for (int i = 0; !needs_deferred_lemma55 && i < k; ++i) {
+    for (int j = i + 1; !needs_deferred_lemma55 && j < k; ++j) {
+      for (TreeId t : matchers[static_cast<size_t>(i)].trees()) {
+        const auto& tj = matchers[static_cast<size_t>(j)].trees();
+        if (std::find(tj.begin(), tj.end(), t) != tj.end()) {
+          needs_deferred_lemma55 = true;
+          break;
+        }
+      }
+    }
+  }
+  if (needs_deferred_lemma55 &&
+      (k < 2 || g_->num_pois() <= kExactLemma55ScanMaxPois)) {
+    needs_deferred_lemma55 = false;
+    for (PoiId p = 0; k >= 2 && p < g_->num_pois(); ++p) {
+      int matched = 0;
+      for (int m = 0; m < k; ++m) {
+        if (matchers[static_cast<size_t>(m)].SimOfPoi(p) > 0 &&
+            ++matched >= 2) {
+          break;
+        }
+      }
+      if (matched >= 2) {
+        needs_deferred_lemma55 = true;
+        break;
+      }
+    }
+  }
+
+  plan.deferred_lemma55 = needs_deferred_lemma55;
+
+  // PoI-retrieval plan (src/retrieval/): which backend answers fresh
+  // expansion searches. Bucket scans and resumable slots apply only in
+  // deferred-Lemma-5.5 mode, where the traversal is matcher-independent and
+  // an expansion is exactly "all matching PoIs within the budget radius, in
+  // (dist, vertex) order" — a query the bucket tables answer without
+  // settling road vertices. Every backend is bit-identical (the
+  // differential harness sweeps them); the plan is purely a speed choice.
+  const RetrieverKind rk = options.retriever;
+  plan.bucket_backend =
+      needs_deferred_lemma55 && buckets_ != nullptr &&
+      (rk == RetrieverKind::kBucket ||
+       (rk == RetrieverKind::kAuto &&
+        RetrieverCostModel::PreferBucket(oracle_->ApproxSearchSettles(),
+                                         buckets_->SettleDensity(),
+                                         g_->num_vertices())));
+  plan.resume_backend =
+      needs_deferred_lemma55 &&
+      (rk == RetrieverKind::kResume ||
+       (rk == RetrieverKind::kAuto && buckets_ != nullptr));
+  return plan;
+}
+
+void BssrEngine::CheckFeasible(const Query& query, QueryPlan* plan) {
+  const int k = query.size();
+  QueryWorkspace::PlanScratch& ps = ws_.plan;
+  ps.matches.resize(static_cast<size_t>(k) * static_cast<size_t>(k));
+  ps.counts.assign(static_cast<size_t>(k), -1);
+  const auto infeasible = [plan](int m, const char* reason) {
+    plan->infeasible_position = m;
+    plan->infeasible_reason = reason;
+  };
+  bool any_listed = false;
+  for (int m = 0; m < k; ++m) {
+    const PositionMatcher& matcher = ws_.matchers[static_cast<size_t>(m)];
+    if (!matcher.has_constraints()) {
+      // Plain any_of: the PoIs with a qualifying category, from the counts;
+      // one category holding k PoIs settles the position.
+      int64_t total = 0;
+      bool has_k = false;
+      for (CategoryId c = 0; !has_k && c < forest_->num_categories(); ++c) {
+        const int32_t n = pois_per_category_[static_cast<size_t>(c)];
+        if (n == 0 || !matcher.CategoryCanMatch(c)) continue;
+        total += n;
+        has_k = n >= k;
+      }
+      if (total == 0) return infeasible(m, "zero_matches");
+      // Single-category PoIs make the sum exact; otherwise it only bounds.
+      if (has_k || (!has_multi_category_poi_ && total >= k)) continue;
+    }
+    // all_of / none_of (or too few plain matches to decide): list up to k
+    // matches through the similarity memo, which later stages read anyway.
+    int n = 0;
+    for (PoiId p = 0; p < g_->num_pois() && n < k; ++p) {
+      if (matcher.SimOfPoi(p) > 0) {
+        ps.matches[static_cast<size_t>(m * k + n++)] = p;
+      }
+    }
+    if (n == 0) return infeasible(m, "zero_matches");
+    if (n < k) {
+      ps.counts[static_cast<size_t>(m)] = n;
+      any_listed = true;
+    }
+  }
+  if (!any_listed) return;
+  // Definition 3.4(iii) needs k distinct PoIs. A position with >= k matches
+  // can always take one the other k-1 positions left free, so Hall's
+  // condition only has to hold over the listed (fewer-than-k) positions.
+  ps.seat.assign(static_cast<size_t>(k), kInvalidPoi);
+  for (int m = 0; m < k; ++m) {
+    if (ps.counts[static_cast<size_t>(m)] < 0) continue;
+    ps.visited.assign(static_cast<size_t>(k), 0);
+    if (!SeatPosition(m, k, &ps)) return infeasible(m, "distinct_pois");
+  }
 }
 
 void BssrEngine::ComputeDestTails(VertexId destination,

@@ -150,6 +150,29 @@ class BssrEngine {
   SharedQueryCache* xcache_ = nullptr;  // may be null (per-query state only)
   QueryTrace* trace_ = nullptr;  // may be null (tracing off, the default)
   bool has_multi_category_poi_ = false;
+  // PoIs listing each category (a multi-category PoI counts under each);
+  // the feasibility precheck reads it instead of scanning PoIs for plain
+  // positions. An over-count can only make its verdict "feasible".
+  std::vector<int32_t> pois_per_category_;
+
+  // The Plan stage of Run(): everything decided before any search runs.
+  struct QueryPlan {
+    // Exact feasibility verdict (Definition 3.4): a position no assignment
+    // of k distinct matching PoIs can fill, or -1 when routes may exist.
+    int infeasible_position = -1;
+    const char* infeasible_reason = "none";  // none|zero_matches|distinct_pois
+    bool deferred_lemma55 = false;  // Lemma 5.5 blockers deferred
+    bool bucket_backend = false;    // fresh expansions use bucket scans
+    bool resume_backend = false;    // ... else resumable slots
+  };
+  // Builds ws_.matchers and their similarity memos for `query`, decides
+  // feasibility and — for feasible queries — the Lemma 5.5 mode and the
+  // retrieval backend. A pure function of the query, so work counters stay
+  // deterministic.
+  QueryPlan Plan(const Query& query, const QueryOptions& options);
+  // The feasibility verdict over the built matchers; sets the plan's
+  // infeasible_* fields.
+  void CheckFeasible(const Query& query, QueryPlan* plan);
 
   // Destination tails D(v, destination): the full-graph reverse Dijkstra
   // shared by Run() and the group prefetch.

@@ -160,6 +160,22 @@ class PositionMatcher {
 
   bool IsPerfect(PoiId p) const { return SimOfPoi(p) == 1.0; }
 
+  /// True when some any_of alternative gives PoI category `c` a positive
+  /// similarity. Under either MultiCategoryMode a PoI can match only if one
+  /// of its categories qualifies, and without all_of / none_of one such
+  /// category is enough — so match counts follow from per-category PoI
+  /// counts without touching PoIs.
+  bool CategoryCanMatch(CategoryId c) const {
+    for (const SimilarityTable& t : tables_) {
+      if (t.SimOf(c) > 0) return true;
+    }
+    return false;
+  }
+  /// True when the predicate has all_of or none_of terms.
+  bool has_constraints() const {
+    return !all_of_.empty() || !none_of_.empty();
+  }
+
   /// Largest achievable similarity strictly below 1 (Lemma 5.8's σ).
   /// Conservatively 1.0 in average mode, where mixtures can exceed any
   /// single-category similarity (a δ of 0 is always safe; see DESIGN.md).

@@ -196,6 +196,13 @@ struct QueryWorkspace {
   // to the matchers (PositionMatcher::AttachSimCache). Epoch-stamped:
   // resetting for the next query is O(1).
   std::vector<StampedArray<double>> sim_memo;
+  // Feasibility precheck scratch (BssrEngine::Plan).
+  struct PlanScratch {
+    std::vector<PoiId> matches;  // k slots per position, fewer than k used
+    std::vector<int> counts;     // listed matches per position; -1 = >= k
+    std::vector<PoiId> seat;     // Hall matching: position -> its PoI
+    std::vector<char> visited;   // positions on the current augmenting path
+  } plan;
   std::vector<double> sigma_suffix;
   std::vector<Weight> dest_dist;
   std::vector<PoiId> route_buf;  // complete-route materialization

@@ -8,7 +8,7 @@ std::string SearchStats::ToString() const {
   char buf[1024];
   std::snprintf(
       buf, sizeof(buf),
-      "elapsed=%.3fms%s skyline=%lld\n"
+      "elapsed=%.3fms%s skyline=%lld precheck_infeasible=%lld\n"
       "searches: runs=%lld cache_hits=%lld reruns=%lld log_replays=%lld "
       "settled=%lld relaxed=%lld weight_sum=%.4f first_weight_sum=%.4f\n"
       "candidates: examined=%lld pruned=%lld (th=%lld floor=%lld) "
@@ -22,6 +22,7 @@ std::string SearchStats::ToString() const {
       "nodes=%lld logical_bytes=%lld",
       elapsed_ms, timed_out ? " TIMED-OUT" : "",
       static_cast<long long>(skyline_size),
+      static_cast<long long>(precheck_infeasible),
       static_cast<long long>(mdijkstra_runs),
       static_cast<long long>(mdijkstra_cache_hits),
       static_cast<long long>(cache_reruns),

@@ -19,6 +19,10 @@ struct SearchStats {
   double elapsed_ms = 0;
   bool timed_out = false;
   int64_t skyline_size = 0;
+  // 1 when the Plan stage proved no route exists (Definition 3.4: some
+  // position matches no PoI, or the positions cannot take k distinct PoIs)
+  // and the query returned the empty skyline without searching.
+  int64_t precheck_infeasible = 0;
 
   // Graph-search effort (Table 8, Figure 5, Table 7).
   int64_t mdijkstra_runs = 0;        // expansion searches actually executed

@@ -26,6 +26,12 @@ std::string QueryExplain::ToTreeString() const {
           oracle.c_str(), deferred_lemma55 ? "deferred" : "inline",
           retriever_requested.c_str(),
           bucket_backend ? "bucket" : (resume_backend ? "resume" : "settle"));
+  if (infeasible_position >= 0) {
+    Appendf(&out, "│  ├─ precheck: infeasible at [%" PRId64 "] (%s)\n",
+            infeasible_position, infeasible_reason.c_str());
+  } else {
+    out += "│  ├─ precheck: feasible\n";
+  }
   Appendf(&out,
           "│  └─ cost model: fwd_settles=%" PRId64
           " settle_density=%.4f vertices=%" PRId64 "\n",
@@ -70,6 +76,9 @@ std::string QueryExplain::ToJson() const {
   std::string out = "{";
   Appendf(&out, "\"oracle\":\"%s\",\"lemma55\":\"%s\",", oracle.c_str(),
           deferred_lemma55 ? "deferred" : "inline");
+  Appendf(&out,
+          "\"infeasible_position\":%" PRId64 ",\"infeasible_reason\":\"%s\",",
+          infeasible_position, infeasible_reason.c_str());
   Appendf(&out, "\"retriever\":{\"requested\":\"%s\",\"bucket\":%s,"
                 "\"resume\":%s,\"cost_fwd_settles\":%" PRId64
                 ",\"cost_settle_density\":%.6f,\"cost_vertices\":%" PRId64

@@ -47,6 +47,10 @@ struct ExplainPositionBackends {
 struct QueryExplain {
   // --- Plan: what the engine decided before the drain. ---
   std::string oracle = "none";        // OracleKindName, "none" w/o an index
+  // Feasibility precheck (Definition 3.4): the position no assignment of k
+  // distinct matching PoIs can fill, and why; -1 / "none" when searched.
+  int64_t infeasible_position = -1;
+  std::string infeasible_reason = "none";  // none|zero_matches|distinct_pois
   bool deferred_lemma55 = false;      // Lemma 5.5 deferral mode
   std::string retriever_requested = "auto";  // QueryOptions::retriever
   bool bucket_backend = false;        // plan verdict: bucket scans eligible

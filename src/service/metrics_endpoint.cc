@@ -101,11 +101,12 @@ Status MetricsEndpoint::Start() {
 
 void MetricsEndpoint::Stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  // shutdown() wakes the blocked accept(); close() reclaims the fd.
+  // shutdown() wakes the blocked accept(); the descriptor is closed (and
+  // may be reused) only after Serve() has returned and no longer reads it.
   ::shutdown(listen_fd_, SHUT_RDWR);
+  if (thread_.joinable()) thread_.join();
   ::close(listen_fd_);
   listen_fd_ = -1;
-  if (thread_.joinable()) thread_.join();
 }
 
 void MetricsEndpoint::Serve() {

@@ -192,6 +192,7 @@ void QueryService::Execute(WorkerState& state, ServingTask& task) {
     rec.query_id = qid;
     rec.explain = answered.explain;
     slow_log_.Offer(std::move(rec));
+    execute_span.Close();  // the last trace write precedes the answer
     task.promise.set_value(std::move(answered));
     return;
   }
@@ -255,6 +256,9 @@ void QueryService::Execute(WorkerState& state, ServingTask& task) {
   } else {
     metrics_.RecordError();
   }
+  // A caller holding every future may read the worker traces
+  // (WorkerTracesToJson), so the span is recorded before the answer.
+  execute_span.Close();
   task.promise.set_value(std::move(result));
 }
 
@@ -378,7 +382,11 @@ void QueryService::ExecuteGroup(WorkerState& state,
       metrics_.RecordError();
     }
     scheduler_->CompleteFlight(key, result, trace);
-    task.promise.set_value(std::move(result));
+  }
+  // As in Execute: the group's last trace write precedes its answers.
+  execute_span.Close();
+  for (size_t j = 0; j < miss.size(); ++j) {
+    group.tasks[miss[j]].promise.set_value(std::move(results[j]));
   }
 }
 

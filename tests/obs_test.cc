@@ -7,12 +7,15 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -488,6 +491,64 @@ TEST(MetricsEndpointTest, ServesProviderTextOverHttp) {
   EXPECT_NE(response.find("200 OK"), std::string::npos);
   EXPECT_NE(response.find("text/plain; version=0.0.4"), std::string::npos);
   EXPECT_NE(response.find("skysr_up 1\n"), std::string::npos);
+}
+
+// Stop() must not close the listener while Serve() may still be inside
+// accept() on it: start and stop endpoints in a loop while another thread
+// keeps scraping whichever port is live (run under ThreadSanitizer in CI).
+TEST(MetricsEndpointTest, StartStopWhileScrapingIsClean) {
+  std::atomic<int> port{0};
+  std::atomic<bool> done{false};
+  std::atomic<int> served{0};
+  std::thread scraper([&] {
+    while (!done.load()) {
+      const int p = port.load();
+      if (p == 0) {
+        std::this_thread::yield();
+        continue;
+      }
+      const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+      if (fd < 0) continue;
+      const timeval timeout{1, 0};  // a reset or stale port never hangs
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+      sockaddr_in addr{};
+      addr.sin_family = AF_INET;
+      addr.sin_port = htons(static_cast<uint16_t>(p));
+      addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+      if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) ==
+          0) {
+        const char req[] = "GET /metrics HTTP/1.0\r\n\r\n";
+        std::string response;
+        if (::send(fd, req, sizeof(req) - 1, MSG_NOSIGNAL) > 0) {
+          char buf[256];
+          ssize_t n;
+          while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+            response.append(buf, static_cast<size_t>(n));
+          }
+        }
+        if (response.find("skysr_up 1") != std::string::npos) ++served;
+      }
+      ::close(fd);
+    }
+  });
+  for (int i = 0; i < 40; ++i) {
+    MetricsEndpoint ep(0, [] { return std::string("skysr_up 1\n"); });
+    const bool started = ep.Start().ok();
+    EXPECT_TRUE(started);
+    if (!started) break;
+    port.store(ep.port());
+    // The first endpoint stays up until one scrape got through.
+    for (int wait_ms = 0; i == 0 && served.load() == 0 && wait_ms < 5000;
+         ++wait_ms) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ep.Stop();
+    port.store(0);
+  }
+  done.store(true);
+  scraper.join();
+  EXPECT_GT(served.load(), 0);
 }
 
 // -------------------------------------------------------------- mini json --

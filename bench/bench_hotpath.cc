@@ -124,6 +124,7 @@ struct WorkCounters {
   int64_t dom_pruned = 0;
   int64_t skyline_routes = 0;
   int64_t precheck_infeasible = 0;  // answered empty by the Plan stage
+  int64_t lb_pois_scanned = 0;      // PoIs the lower-bound leg scans visited
   // Retrieval-subsystem paths (zero in the settle config).
   int64_t bucket_runs = 0;
   int64_t resume_runs = 0;
@@ -224,6 +225,7 @@ FamilyResult RunFamily(const Scenario& sc, const BenchConfig& config,
     out.counters.dom_pruned += r->stats.qb_dominance_pruned;
     out.counters.skyline_routes += r->stats.skyline_size;
     out.counters.precheck_infeasible += r->stats.precheck_infeasible;
+    out.counters.lb_pois_scanned += r->stats.lb_pois_scanned;
     out.counters.bucket_runs += r->stats.retriever_bucket_runs;
     out.counters.resume_runs += r->stats.retriever_resume_runs;
     out.counters.fwd_searches += r->stats.bucket_fwd_searches;
@@ -526,6 +528,7 @@ int Main(int argc, char** argv) {
     json.Field("qb_dominance_pruned", f.counters.dom_pruned);
     json.Field("skyline_routes", f.counters.skyline_routes);
     json.Field("precheck_infeasible", f.counters.precheck_infeasible);
+    json.Field("lb_pois_scanned", f.counters.lb_pois_scanned);
     json.Field("bucket_runs", f.counters.bucket_runs);
     json.Field("resume_runs", f.counters.resume_runs);
     json.Field("bucket_fwd_searches", f.counters.fwd_searches);

@@ -35,6 +35,48 @@ void DenseLegBounds(const Graph& g, const PositionMatcher& next,
   }
 }
 
+/// The ball B(v_q, radius) by one radius-truncated Dijkstra: records
+/// D(v_q, v) for every vertex it settles and, when the radius is finite,
+/// lists the settled PoIs in id order — a leg's only possible endpoints.
+DijkstraRunStats SearchBall(const Graph& g, VertexId start, Weight radius,
+                            LowerBoundScratch* scratch) {
+  StampedArray<Weight>& ball_dist = scratch->ball_dist;
+  std::vector<PoiId>& ball_pois = scratch->ball_pois;
+  const bool collect = radius != kInfWeight;
+  ball_dist.Prepare(g.num_vertices(), kInfWeight);
+  ball_pois.clear();
+  const DijkstraRunStats stats =
+      RunDijkstra(g, start, scratch->ws, [&](VertexId v, Weight d, VertexId) {
+        if (d >= radius) return VisitAction::kStop;
+        ball_dist.Set(v, d);
+        if (collect && g.IsPoiVertex(v)) ball_pois.push_back(g.PoiAtVertex(v));
+        return VisitAction::kContinue;
+      });
+  std::sort(ball_pois.begin(), ball_pois.end());
+  return stats;
+}
+
+/// Calls `fn(p)` for every in-ball PoI in id order until it returns false.
+/// A finite ball walks the list SearchBall collected; without one every
+/// PoI is tested against `in_ball`. Returns the PoIs visited.
+template <typename InBall, typename Fn>
+int64_t ScanBallPois(const Graph& g, const LowerBoundScratch& scratch,
+                     bool have_ball, const InBall& in_ball, Fn&& fn) {
+  int64_t visited = 0;
+  if (have_ball) {
+    for (const PoiId p : scratch.ball_pois) {
+      ++visited;
+      if (!fn(p)) break;
+    }
+    return visited;
+  }
+  for (PoiId p = 0; p < g.num_pois(); ++p) {
+    ++visited;
+    if (in_ball(g.VertexOfPoi(p)) && !fn(p)) break;
+  }
+  return visited;
+}
+
 /// Shared tail of both variants: suffix sums plus stats accounting.
 void FinishBounds(LowerBounds* lb, int k, WallTimer* timer,
                   SearchStats* stats) {
@@ -88,29 +130,26 @@ LowerBounds ComputeLowerBounds(const Graph& g,
   // inside the ball (its prefix length bounds the distance from v_q of every
   // point on the route), so restricting everything to the ball keeps the
   // bounds valid for surviving routes. Distances are recorded at settle time
-  // into the epoch-stamped array — no post-search O(|V|) sweep.
-  StampedArray<Weight>& ball_dist = scratch->ball_dist;
-  ball_dist.Prepare(g.num_vertices(), kInfWeight);
-  DijkstraRunStats ball_stats =
-      RunDijkstra(g, start, scratch->ws, [&](VertexId v, Weight d, VertexId) {
-        if (d >= radius) return VisitAction::kStop;
-        ball_dist.Set(v, d);
-        return VisitAction::kContinue;
-      });
+  // into the epoch-stamped array — no post-search O(|V|) sweep. Without a
+  // radius the search still runs: membership is then reachability.
+  const DijkstraRunStats ball_stats = SearchBall(g, start, radius, scratch);
+  const StampedArray<Weight>& ball_dist = scratch->ball_dist;
   const auto in_ball = [&](VertexId v) { return ball_dist.Get(v) < radius; };
+  const bool have_ball = radius != kInfWeight;
 
   DijkstraRunStats leg_stats;
+  int64_t pois_scanned = 0;
   lb.ls_leg.assign(static_cast<size_t>(k) - 1, kInfWeight);
   lb.lp_leg.assign(static_cast<size_t>(k) - 1, kInfWeight);
   std::vector<SourceSeed>& seeds = scratch->seeds;
   for (int i = 0; i + 1 < k; ++i) {
     seeds.clear();
-    for (PoiId p = 0; p < g.num_pois(); ++p) {
-      const VertexId v = g.VertexOfPoi(p);
-      if (in_ball(v) && matchers[static_cast<size_t>(i)].SimOfPoi(p) > 0) {
-        seeds.push_back(SourceSeed{v, 0});
+    pois_scanned += ScanBallPois(g, *scratch, have_ball, in_ball, [&](PoiId p) {
+      if (matchers[static_cast<size_t>(i)].SimOfPoi(p) > 0) {
+        seeds.push_back(SourceSeed{g.VertexOfPoi(p), 0});
       }
-    }
+      return true;
+    });
     if (seeds.empty()) continue;  // leg stays +inf: nothing can cross it
 
     DenseLegBounds(g, matchers[static_cast<size_t>(i) + 1], seeds, in_ball,
@@ -122,6 +161,7 @@ LowerBounds ComputeLowerBounds(const Graph& g,
   // Suffix sums (+inf saturates naturally in IEEE arithmetic) and timing.
   FinishBounds(&lb, k, &timer, stats);
   if (stats != nullptr) {
+    stats->lb_pois_scanned += pois_scanned;
     stats->vertices_settled += ball_stats.settled + leg_stats.settled;
     stats->edges_relaxed += ball_stats.relaxed + leg_stats.relaxed;
     stats->weight_sum += ball_stats.weight_sum + leg_stats.weight_sum;
@@ -155,16 +195,8 @@ LowerBounds ComputeLowerBoundsWithOracle(
   // yet) means everything is in the ball and no search is needed.
   DijkstraRunStats ball_stats;
   const bool have_ball = radius != kInfWeight;
-  StampedArray<Weight>& ball_dist = scratch->ball_dist;
-  if (have_ball) {
-    ball_dist.Prepare(g.num_vertices(), kInfWeight);
-    ball_stats = RunDijkstra(
-        g, start, scratch->ws, [&](VertexId v, Weight d, VertexId) {
-          if (d >= radius) return VisitAction::kStop;
-          ball_dist.Set(v, d);
-          return VisitAction::kContinue;
-        });
-  }
+  if (have_ball) ball_stats = SearchBall(g, start, radius, scratch);
+  const StampedArray<Weight>& ball_dist = scratch->ball_dist;
   const auto in_ball = [&](VertexId v) {
     return !have_ball || ball_dist.Get(v) < radius;
   };
@@ -192,6 +224,7 @@ LowerBounds ComputeLowerBoundsWithOracle(
           : static_cast<size_t>(oracle_candidate_cap);
 
   DijkstraRunStats leg_stats;
+  int64_t pois_scanned = 0;
   lb.ls_leg.assign(static_cast<size_t>(k) - 1, kInfWeight);
   lb.lp_leg.assign(static_cast<size_t>(k) - 1, kInfWeight);
   std::vector<VertexId>& sources = scratch->sources;
@@ -205,12 +238,12 @@ LowerBounds ComputeLowerBoundsWithOracle(
       table_based && bucket_server != nullptr && bucket_scan != nullptr;
   for (int i = 0; i + 1 < k; ++i) {
     sources.clear();
-    for (PoiId p = 0; p < g.num_pois(); ++p) {
-      if (matchers[static_cast<size_t>(i)].SimOfPoi(p) > 0 &&
-          in_ball(g.VertexOfPoi(p))) {
+    pois_scanned += ScanBallPois(g, *scratch, have_ball, in_ball, [&](PoiId p) {
+      if (matchers[static_cast<size_t>(i)].SimOfPoi(p) > 0) {
         sources.push_back(g.VertexOfPoi(p));
       }
-    }
+      return true;
+    });
     if (sources.empty()) continue;  // leg stays +inf: nothing can cross it
 
     // Gather the target sets only while the leg still qualifies for the
@@ -229,23 +262,26 @@ LowerBounds ComputeLowerBoundsWithOracle(
         : table_based
             ? max_table_endpoints - sources.size()
             : std::max<size_t>(1, max_bound_pairs / sources.size());
-    for (PoiId p = 0; oracle_leg && p < g.num_pois(); ++p) {
-      const VertexId v = g.VertexOfPoi(p);
-      if (!in_ball(v)) continue;
-      if (next.SimOfPoi(p) > 0) {
-        sem_targets.push_back(v);
-        sem_target_pois.push_back(p);
-      }
-      if (next.IsPerfect(p)) {
-        perf_targets.push_back(v);
-        perf_target_pois.push_back(p);
-      }
-      if (table_based
-              ? sem_targets.size() + perf_targets.size() > target_budget
-              : std::max(sem_targets.size(), perf_targets.size()) >
-                    target_budget) {
-        oracle_leg = false;
-      }
+    if (oracle_leg) {
+      const auto add_target = [&](PoiId p) {
+        const VertexId v = g.VertexOfPoi(p);
+        if (next.SimOfPoi(p) > 0) {
+          sem_targets.push_back(v);
+          sem_target_pois.push_back(p);
+        }
+        if (next.IsPerfect(p)) {
+          perf_targets.push_back(v);
+          perf_target_pois.push_back(p);
+        }
+        oracle_leg =
+            table_based
+                ? sem_targets.size() + perf_targets.size() <= target_budget
+                : std::max(sem_targets.size(), perf_targets.size()) <=
+                      target_budget;
+        return oracle_leg;  // false aborts the scan: the leg goes dense
+      };
+      pois_scanned +=
+          ScanBallPois(g, *scratch, have_ball, in_ball, add_target);
     }
 
     if (oracle_leg) {
@@ -298,6 +334,7 @@ LowerBounds ComputeLowerBoundsWithOracle(
 
   FinishBounds(&lb, k, &timer, stats);
   if (stats != nullptr) {
+    stats->lb_pois_scanned += pois_scanned;
     stats->vertices_settled += ball_stats.settled + leg_stats.settled;
     stats->edges_relaxed += ball_stats.relaxed + leg_stats.relaxed;
     stats->weight_sum += ball_stats.weight_sum + leg_stats.weight_sum;

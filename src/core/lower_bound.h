@@ -58,13 +58,15 @@ struct LowerBoundScratch {
   std::vector<VertexId> perf_targets;
   std::vector<PoiId> sem_target_pois;   // PoI ids parallel to sem_targets
   std::vector<PoiId> perf_target_pois;  // PoI ids parallel to perf_targets
+  std::vector<PoiId> ball_pois;  // PoIs the ball search settled, id order
   std::vector<Weight> table;
 };
 
 /// Computes the bounds. `radius` is l̄(∅) — the length of the best
 /// perfect-match route known after the initial search (kInfWeight when
 /// unknown, in which case no ball restriction applies). Updates
-/// stats->lb_ms / ls_total / lp_total and the global search counters.
+/// stats->lb_ms / ls_total / lp_total / lb_pois_scanned and the global
+/// search counters.
 /// `scratch` (optional) supplies reusable buffers; null falls back to
 /// function-local storage.
 LowerBounds ComputeLowerBounds(const Graph& g,

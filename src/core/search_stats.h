@@ -53,6 +53,7 @@ struct SearchStats {
   double lb_ms = 0;
   Weight ls_total = 0;  // sum of finite semantic-match leg bounds
   Weight lp_total = 0;  // sum of finite perfect-match leg bounds
+  int64_t lb_pois_scanned = 0;  // PoIs the leg scans visited (all legs)
 
   // Bulk queue (§5.3.2).
   int64_t routes_enqueued = 0;

@@ -112,10 +112,12 @@ std::string RenderSkyline(const std::vector<Route>& routes) {
 std::string DiffReport::Summary() const {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
-                "differential check: %d scenarios, %d instances, "
-                "%lld engine runs, %lld baseline runs, digest=%016llx, "
-                "%zu mismatches",
+                "differential check: %d scenarios, %d instances "
+                "(%d searched, %d prechecked), %lld engine runs, "
+                "%lld baseline runs, digest=%016llx, %zu mismatches",
                 scenarios_run, instances_checked,
+                instances_checked - instances_prechecked,
+                instances_prechecked,
                 static_cast<long long>(engine_runs),
                 static_cast<long long>(baseline_runs),
                 static_cast<unsigned long long>(result_digest),
@@ -285,6 +287,8 @@ DiffReport RunDifferentialCheck(const DiffCheckParams& params) {
                   rkind == retrievers[0]) {
                 default_results[qi] = got->routes;
                 have_default[qi] = 1;
+                report.instances_prechecked +=
+                    static_cast<int>(got->stats.precheck_infeasible);
               }
             }
           }

@@ -90,6 +90,9 @@ struct DiffMismatch {
 struct DiffReport {
   int scenarios_run = 0;
   int instances_checked = 0;  // (graph, taxonomy, query) triples
+  /// Instances the Plan-stage feasibility precheck answered (empty skyline)
+  /// without a search; instances_checked - instances_prechecked searched.
+  int instances_prechecked = 0;
   int64_t engine_runs = 0;    // BssrEngine::Run invocations
   int64_t baseline_runs = 0;  // brute-force + naive invocations
   /// SplitMix digest over every verified skyline's score bits, in suite

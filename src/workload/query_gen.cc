@@ -154,6 +154,38 @@ Status WriteWorkloadFile(const std::string& path, const Dataset& dataset,
   return Status::OK();
 }
 
+Result<std::vector<CategoryPredicate>> ParseCategorySequence(
+    std::string_view text, const CategoryForest& forest) {
+  std::vector<CategoryPredicate> sequence;
+  for (const auto pos : Split(text, ';')) {
+    CategoryPredicate pred;
+    for (const auto raw_term : Split(pos, ',')) {
+      std::string_view term = Trim(raw_term);
+      if (term.empty()) return Status::InvalidArgument("empty predicate term");
+      std::vector<CategoryId>* target = &pred.any_of;
+      if (term.front() == '+') {
+        target = &pred.all_of;
+        term = Trim(term.substr(1));
+      } else if (term.front() == '!') {
+        target = &pred.none_of;
+        term = Trim(term.substr(1));
+      }
+      const CategoryId c = forest.FindByName(term);
+      if (c == kInvalidCategory) {
+        return Status::InvalidArgument("unknown category '" +
+                                       std::string(term) + "'");
+      }
+      target->push_back(c);
+    }
+    if (pred.any_of.empty()) {
+      return Status::InvalidArgument(
+          "position needs at least one any_of category");
+    }
+    sequence.push_back(std::move(pred));
+  }
+  return sequence;  // never empty: Split yields at least one position
+}
+
 Result<std::vector<Query>> LoadWorkloadFile(const std::string& path,
                                             const Dataset& dataset) {
   std::ifstream file(path);
@@ -180,31 +212,9 @@ Result<std::vector<Query>> LoadWorkloadFile(const std::string& path,
       if (!ParseInt64(Trim(fields[1]), &dest)) return err("bad destination");
       q.destination = static_cast<VertexId>(dest);
     }
-    for (const auto pos : Split(fields[2], ';')) {
-      CategoryPredicate pred;
-      for (const auto raw_term : Split(pos, ',')) {
-        std::string_view term = Trim(raw_term);
-        if (term.empty()) return err("empty predicate term");
-        std::vector<CategoryId>* target = &pred.any_of;
-        if (term.front() == '+') {
-          target = &pred.all_of;
-          term = Trim(term.substr(1));
-        } else if (term.front() == '!') {
-          target = &pred.none_of;
-          term = Trim(term.substr(1));
-        }
-        const CategoryId c = dataset.forest.FindByName(term);
-        if (c == kInvalidCategory) {
-          return err("unknown category '" + std::string(term) + "'");
-        }
-        target->push_back(c);
-      }
-      if (pred.any_of.empty()) {
-        return err("position needs at least one any_of category");
-      }
-      q.sequence.push_back(std::move(pred));
-    }
-    if (q.sequence.empty()) return err("empty category sequence");
+    auto sequence = ParseCategorySequence(fields[2], dataset.forest);
+    if (!sequence.ok()) return err(sequence.status().message());
+    q.sequence = std::move(*sequence);
     queries.push_back(std::move(q));
   }
   return queries;

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/query.h"
@@ -58,6 +59,12 @@ std::vector<Query> GenerateQueries(const Dataset& dataset,
 /// (names containing ',', ';' or '|', or starting with '+' or '!').
 Status WriteWorkloadFile(const std::string& path, const Dataset& dataset,
                          std::span<const Query> queries);
+
+/// Parses one `POS;POS;...` category sequence in the predicate syntax
+/// above: the third field of a workload line, and the text `skysr_cli
+/// query --categories` takes. Errors name the offending term.
+Result<std::vector<CategoryPredicate>> ParseCategorySequence(
+    std::string_view text, const CategoryForest& forest);
 
 /// Parses a workload file written by WriteWorkloadFile.
 Result<std::vector<Query>> LoadWorkloadFile(const std::string& path,

@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <functional>
 #include <map>
+#include <queue>
 #include <utility>
 #include <vector>
 
@@ -18,7 +22,10 @@
 #include "core/settle_log.h"
 #include "core/skyline_set.h"
 #include "core/threshold.h"
+#include "graph/dijkstra.h"
 #include "graph/graph_builder.h"
+#include "index/ch_oracle.h"
+#include "scenario/scenario.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
 
@@ -282,6 +289,266 @@ TEST(LowerBoundTest, LegBoundsAreValidMinima) {
   ASSERT_EQ(lb.ls_remaining.size(), 3u);
   EXPECT_DOUBLE_EQ(lb.ls_remaining[1], 1.0);
   EXPECT_DOUBLE_EQ(lb.ls_remaining[2], 0.0);
+}
+
+// --- Finite-radius balls (§5.3.3) ------------------------------------------
+//
+// References computed independently of lower_bound.cc: the ball from
+// Bellman-Ford distances, leg minima by plain Dijkstra over the subgraph the
+// ball induces (the flat variant's traversal restriction) or over the whole
+// graph (what an exact oracle sees).
+
+std::vector<Weight> InducedDistances(const Graph& g, VertexId source,
+                                     const std::vector<char>& allowed) {
+  std::vector<Weight> dist(static_cast<size_t>(g.num_vertices()), kInfWeight);
+  using Item = std::pair<Weight, VertexId>;
+  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
+  dist[static_cast<size_t>(source)] = 0;
+  heap.push({0, source});
+  while (!heap.empty()) {
+    const auto [d, v] = heap.top();
+    heap.pop();
+    if (d > dist[static_cast<size_t>(v)]) continue;
+    for (const Neighbor& nb : g.OutEdges(v)) {
+      if (!allowed[static_cast<size_t>(nb.to)]) continue;
+      if (d + nb.weight < dist[static_cast<size_t>(nb.to)]) {
+        dist[static_cast<size_t>(nb.to)] = d + nb.weight;
+        heap.push({d + nb.weight, nb.to});
+      }
+    }
+  }
+  return dist;
+}
+
+struct RefLeg {
+  Weight ls = kInfWeight;
+  Weight lp = kInfWeight;
+};
+
+// Leg minima over source/target PoIs whose vertices are `endpoint`-flagged,
+// with distances over the subgraph induced by `traversable`.
+RefLeg ReferenceLeg(const Graph& g, const PositionMatcher& from,
+                    const PositionMatcher& to,
+                    const std::vector<char>& endpoint,
+                    const std::vector<char>& traversable) {
+  RefLeg leg;
+  for (PoiId p = 0; p < g.num_pois(); ++p) {
+    const VertexId s = g.VertexOfPoi(p);
+    if (!endpoint[static_cast<size_t>(s)] || from.SimOfPoi(p) <= 0) continue;
+    const std::vector<Weight> d = InducedDistances(g, s, traversable);
+    for (PoiId q = 0; q < g.num_pois(); ++q) {
+      const VertexId t = g.VertexOfPoi(q);
+      if (!endpoint[static_cast<size_t>(t)]) continue;
+      const Weight w = d[static_cast<size_t>(t)];
+      if (to.SimOfPoi(q) > 0) leg.ls = std::min(leg.ls, w);
+      if (to.IsPerfect(q)) leg.lp = std::min(leg.lp, w);
+    }
+  }
+  return leg;
+}
+
+// Equal up to summation-order rounding; +inf only matches +inf.
+::testing::AssertionResult SameBound(Weight got, Weight want) {
+  if (std::isinf(want) || std::isinf(got)) {
+    if (got == want) return ::testing::AssertionSuccess();
+  } else if (std::abs(got - want) <= 1e-9 * std::max<Weight>(1, want)) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure() << "got " << got << ", want " << want;
+}
+
+::testing::AssertionResult AtMost(Weight a, Weight b) {
+  if (a <= b || (!std::isinf(b) && a - b <= 1e-9 * std::max<Weight>(1, b))) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure() << a << " > " << b;
+}
+
+TEST(LowerBoundTest, FiniteBallsMatchBruteForceOnScenarioGraphs) {
+  const WuPalmerSimilarity fn;
+  Rng rng(5353);
+  int finite_legs = 0, partial_balls = 0;
+  for (int idx = 0; idx < 6; ++idx) {
+    ScenarioSpec spec;
+    spec.graph.family = static_cast<GraphFamily>(idx % 3);
+    spec.graph.target_vertices = 120 + 40 * idx;
+    spec.taxonomy.num_trees = 3;
+    spec.pois.num_pois = 40;
+    spec.pois.multi_category_rate = 0.2;
+    spec.workload.num_queries = 6;
+    spec.workload.min_sequence = 2;
+    spec.workload.max_sequence = 4;
+    spec.workload.multi_any_rate = 0.3;
+    spec.workload.none_of_rate = 0.2;
+    SeedScenarioSpec(&spec, 900 + static_cast<uint64_t>(idx));
+    const Scenario sc = MakeScenario(spec);
+    const Graph& g = sc.dataset.graph;
+    const std::vector<char> everywhere(static_cast<size_t>(g.num_vertices()),
+                                       1);
+    const ChOracle ch = ChOracle::Build(g);
+    OracleWorkspace ows;
+    for (const Query& q : sc.queries) {
+      std::vector<PositionMatcher> matchers;
+      for (const CategoryPredicate& pred : q.sequence) {
+        matchers.emplace_back(g, sc.dataset.forest, fn, pred,
+                              MultiCategoryMode::kMaxSimilarity);
+      }
+      const auto start = static_cast<VertexId>(
+          rng.UniformU64(static_cast<uint64_t>(g.num_vertices())));
+      const std::vector<Weight> from_start = BellmanFordDistances(g, start);
+      // Radius = distance to a random vertex: balls from a few vertices
+      // to nearly the whole graph.
+      const Weight radius = from_start[rng.UniformU64(from_start.size())];
+      std::vector<char> in_ball(from_start.size());
+      int64_t ball_pois = 0;
+      for (size_t v = 0; v < from_start.size(); ++v) {
+        in_ball[v] = from_start[v] < radius;
+        if (in_ball[v] && g.IsPoiVertex(static_cast<VertexId>(v))) {
+          ++ball_pois;
+        }
+      }
+      if (ball_pois < g.num_pois()) ++partial_balls;
+
+      SearchStats flat_stats, ch_stats, auto_stats;
+      LowerBoundScratch scratch;  // reused, as the engine does
+      const LowerBounds flat = ComputeLowerBounds(g, matchers, start, radius,
+                                                  &flat_stats, &scratch);
+      const LowerBounds oracle = ComputeLowerBoundsWithOracle(
+          g, matchers, start, radius, ch, ows, &ch_stats, 1 << 30, &scratch);
+      const LowerBounds mixed = ComputeLowerBoundsWithOracle(
+          g, matchers, start, radius, ch, ows, &auto_stats, -1, &scratch);
+      const size_t legs = matchers.size() - 1;
+      ASSERT_EQ(flat.ls_leg.size(), legs);
+      EXPECT_EQ(flat_stats.lb_pois_scanned,
+                static_cast<int64_t>(legs) * ball_pois);
+      EXPECT_LE(ch_stats.lb_pois_scanned, 2 * static_cast<int64_t>(legs) *
+                                              ball_pois);
+      for (size_t i = 0; i < legs; ++i) {
+        const RefLeg restricted =
+            ReferenceLeg(g, matchers[i], matchers[i + 1], in_ball, in_ball);
+        const RefLeg unrestricted =
+            ReferenceLeg(g, matchers[i], matchers[i + 1], in_ball, everywhere);
+        const RefLeg global = ReferenceLeg(g, matchers[i], matchers[i + 1],
+                                           everywhere, everywhere);
+        EXPECT_TRUE(SameBound(flat.ls_leg[i], restricted.ls)) << "leg " << i;
+        EXPECT_TRUE(SameBound(flat.lp_leg[i], restricted.lp)) << "leg " << i;
+        EXPECT_TRUE(SameBound(oracle.ls_leg[i], unrestricted.ls));
+        EXPECT_TRUE(SameBound(oracle.lp_leg[i], unrestricted.lp));
+        for (const LowerBounds* lb : {&oracle, &mixed}) {
+          EXPECT_TRUE(AtMost(global.ls, lb->ls_leg[i]));
+          EXPECT_TRUE(AtMost(lb->ls_leg[i], flat.ls_leg[i]));
+          EXPECT_TRUE(AtMost(global.lp, lb->lp_leg[i]));
+          EXPECT_TRUE(AtMost(lb->lp_leg[i], flat.lp_leg[i]));
+        }
+        if (!std::isinf(restricted.ls)) ++finite_legs;
+      }
+    }
+  }
+  // Not vacuous: real bounds, and balls that actually exclude PoIs.
+  EXPECT_GT(finite_legs, 20);
+  EXPECT_GT(partial_balls, 10);
+}
+
+// start=0; Italian@1 and Gift@2 lie inside B(0, 5) three apart, while
+// Italian@3 (at distance exactly 5) and Gift@4 (5.5) lie just outside it,
+// half a unit apart — the globally nearest matching pair.
+struct BallEdgeFixture {
+  Graph graph;
+  CategoryForest forest = MakeFoursquareLikeForest();
+  BallEdgeFixture() {
+    const CategoryId italian = forest.FindByName("Italian Restaurant");
+    const CategoryId gift = forest.FindByName("Gift Shop");
+    GraphBuilder b;
+    for (int i = 0; i < 5; ++i) b.AddVertex();
+    b.AddEdge(0, 1, 1.0);
+    b.AddEdge(1, 2, 3.0);
+    b.AddEdge(0, 3, 5.0);
+    b.AddEdge(3, 4, 0.5);
+    b.AddPoi(1, {italian}, "Inside Trattoria");
+    b.AddPoi(2, {gift}, "Inside Gifts");
+    b.AddPoi(3, {italian}, "Edge Trattoria");
+    b.AddPoi(4, {gift}, "Edge Gifts");
+    graph = std::move(b.Build()).ValueOrDie();
+  }
+};
+
+TEST(LowerBoundTest, PairJustOutsideTheBallIsNeverUsed) {
+  const BallEdgeFixture fx;
+  const WuPalmerSimilarity fn;
+  std::vector<PositionMatcher> matchers;
+  for (const char* name : {"Italian Restaurant", "Gift Shop"}) {
+    matchers.emplace_back(
+        fx.graph, fx.forest, fn,
+        CategoryPredicate::Single(fx.forest.FindByName(name)),
+        MultiCategoryMode::kMaxSimilarity);
+  }
+  const ChOracle ch = ChOracle::Build(fx.graph);
+  OracleWorkspace ows;
+  // 5: Italian@3 sits on the boundary (D == radius is outside). 5.25: it is
+  // inside but its partner Gift@4 is not. 6: both inside.
+  for (const auto& [radius, want] :
+       {std::pair<Weight, Weight>{5.0, 3.0}, {5.25, 3.0}, {6.0, 0.5}}) {
+    SearchStats stats;
+    const LowerBounds flat =
+        ComputeLowerBounds(fx.graph, matchers, 0, radius, &stats);
+    EXPECT_EQ(flat.ls_leg[0], want) << "radius " << radius;
+    EXPECT_EQ(flat.lp_leg[0], want) << "radius " << radius;
+    const LowerBounds oracle = ComputeLowerBoundsWithOracle(
+        fx.graph, matchers, 0, radius, ch, ows, &stats, 1 << 30);
+    EXPECT_EQ(oracle.ls_leg[0], want) << "radius " << radius;
+    EXPECT_EQ(oracle.lp_leg[0], want) << "radius " << radius;
+  }
+  SearchStats stats;
+  EXPECT_EQ(ComputeLowerBounds(fx.graph, matchers, 0, kInfWeight, &stats)
+                .ls_leg[0],
+            0.5);
+}
+
+TEST(LowerBoundTest, InfiniteRadiusSkipsUnreachableComponent) {
+  // Component {0,1,2}: Italian@1, Gift@2, two apart. Component {3,4}:
+  // Italian@3, Gift@4, 0.25 apart, unreachable from start 0.
+  CategoryForest forest = MakeFoursquareLikeForest();
+  const CategoryId italian = forest.FindByName("Italian Restaurant");
+  const CategoryId gift = forest.FindByName("Gift Shop");
+  const CategoryId sushi = forest.FindByName("Sushi Restaurant");
+  GraphBuilder b;
+  for (int i = 0; i < 6; ++i) b.AddVertex();
+  b.AddEdge(0, 1, 1.0);
+  b.AddEdge(1, 2, 2.0);
+  b.AddEdge(3, 4, 0.25);
+  b.AddEdge(4, 5, 1.0);
+  b.AddPoi(1, {italian}, "");
+  b.AddPoi(2, {gift}, "");
+  b.AddPoi(3, {italian}, "");
+  b.AddPoi(4, {gift}, "");
+  b.AddPoi(5, {sushi}, "");
+  const Graph g = std::move(b.Build()).ValueOrDie();
+  const WuPalmerSimilarity fn;
+  std::vector<PositionMatcher> matchers;
+  for (const CategoryId c : {italian, gift, sushi}) {
+    matchers.emplace_back(g, forest, fn, CategoryPredicate::Single(c),
+                          MultiCategoryMode::kMaxSimilarity);
+  }
+  SearchStats stats;
+  const LowerBounds flat = ComputeLowerBounds(g, matchers, 0, kInfWeight,
+                                              &stats);
+  EXPECT_EQ(flat.ls_leg[0], 2.0);
+  EXPECT_EQ(flat.lp_leg[0], 2.0);
+  // Only the unreachable Sushi@5 is a perfect match for the last position;
+  // Italian@1 (Food tree) is a semantic one, at distance 2 from Gift@2.
+  EXPECT_EQ(flat.ls_leg[1], 2.0);
+  EXPECT_EQ(flat.lp_leg[1], kInfWeight);
+  // No ball: every leg scan walks all PoIs.
+  EXPECT_EQ(stats.lb_pois_scanned, 2 * g.num_pois());
+
+  // The oracle variant has no reachability filter without a ball; its
+  // bounds may only be smaller.
+  const ChOracle ch = ChOracle::Build(g);
+  OracleWorkspace ows;
+  const LowerBounds oracle = ComputeLowerBoundsWithOracle(
+      g, matchers, 0, kInfWeight, ch, ows, &stats, 1 << 30);
+  EXPECT_EQ(oracle.ls_leg[0], 0.25);
+  EXPECT_LE(oracle.lp_leg[1], flat.lp_leg[1]);
 }
 
 TEST(ThresholdPolicyTest, PruningLogic) {

@@ -6,6 +6,7 @@
 // QueryOptions ablation combination. SKYSR_DIFF_INSTANCES overrides the
 // instance count (the sanitizer CI job reduces it).
 
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string_view>
@@ -80,19 +81,33 @@ std::vector<RetrieverKind> EnvRetrieverSweep() {
   return {RetrieverKind::kSettle, *kind};
 }
 
+constexpr int kDefaultInstances = 216;
+// Searched (not prechecked) instances of the default sweep, master seed
+// 2026: the suite's current value, a floor that only rises.
+constexpr int kMinSearchedAtDefault = 168;
+
 // The acceptance bar: >= 200 instances, every ablation combo bit-identical
 // to brute force under EVERY oracle kind and EVERY retriever kind, naive
 // baseline and QueryService replay (sharing the index + bucket tables)
 // agreeing too.
 TEST(DifferentialTest, EngineMatchesBaselinesOnGeneratedScenarios) {
   DiffCheckParams params;
-  params.num_instances = EnvInstances(216);
+  params.num_instances = EnvInstances(kDefaultInstances);
   params.oracle_kinds = EnvOracleSweep();
   params.retriever_kinds = EnvRetrieverSweep();
   params.shared_cache = EnvXCache();
   params.qb_dominance = EnvQbDominance();
   const DiffReport report = RunDifferentialCheck(params);
   EXPECT_GE(report.instances_checked, params.num_instances);
+  // Complex predicates can match no PoI; the Plan stage answers those
+  // instances without searching, so they verify no search path. Print the
+  // split, and at the default size keep the searched count from shrinking.
+  const int searched = report.instances_checked - report.instances_prechecked;
+  std::printf("differential instances: %d searched, %d prechecked\n",
+              searched, report.instances_prechecked);
+  if (params.num_instances == kDefaultInstances) {
+    EXPECT_GE(searched, kMinSearchedAtDefault);
+  }
   // 8 toggle combos x 2 queue disciplines per instance, oracle kind and
   // retriever kind.
   EXPECT_GE(report.engine_runs,

@@ -273,6 +273,60 @@ TEST(WorkloadFileTest, HandwrittenComplexPositionsParse) {
             std::vector<CategoryId>{forest.RootOf(1)});
 }
 
+TEST(WorkloadFileTest, CategorySequenceTextRoundTrips) {
+  // The third field of every written line is exactly what `skysr_cli query
+  // --categories` accepts; parsed alone it must give back the query's
+  // predicates, so the CLI and the file reader cannot drift apart.
+  ScenarioSpec spec;
+  spec.graph.target_vertices = 80;
+  spec.taxonomy.num_trees = 4;
+  spec.pois.num_pois = 30;
+  spec.workload.num_queries = 60;
+  spec.workload.max_sequence = 4;
+  spec.workload.multi_any_rate = 0.5;
+  spec.workload.all_of_rate = 0.4;
+  spec.workload.none_of_rate = 0.4;
+  const Scenario sc = MakeScenario(spec);
+  const std::string path = ::testing::TempDir() + "sequence_text.txt";
+  ASSERT_TRUE(WriteWorkloadFile(path, sc.dataset, sc.queries).ok());
+
+  std::ifstream in(path);
+  std::vector<Query> parsed;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    auto sequence = ParseCategorySequence(
+        std::string_view(line).substr(line.rfind('|') + 1), sc.dataset.forest);
+    ASSERT_TRUE(sequence.ok()) << line << ": " << sequence.status().ToString();
+    Query q = sc.queries[parsed.size()];
+    q.sequence = std::move(*sequence);
+    parsed.push_back(std::move(q));
+  }
+  ExpectSameQueries(sc.queries, parsed);
+
+  const CategoryForest& forest = sc.dataset.forest;
+  const std::string a = forest.Name(forest.RootOf(0));
+  const std::string b = forest.Name(forest.RootOf(1));
+  auto mixed = ParseCategorySequence(a + "," + b + ",+" + a + ";!" + a + "," +
+                                         b,
+                                     forest);
+  ASSERT_TRUE(mixed.ok()) << mixed.status().ToString();
+  ASSERT_EQ(mixed->size(), 2u);
+  EXPECT_EQ((*mixed)[0].any_of,
+            (std::vector<CategoryId>{forest.RootOf(0), forest.RootOf(1)}));
+  EXPECT_EQ((*mixed)[0].all_of, std::vector<CategoryId>{forest.RootOf(0)});
+  EXPECT_EQ((*mixed)[1].none_of, std::vector<CategoryId>{forest.RootOf(0)});
+  EXPECT_EQ((*mixed)[1].any_of, std::vector<CategoryId>{forest.RootOf(1)});
+
+  EXPECT_FALSE(ParseCategorySequence("", forest).ok());
+  EXPECT_FALSE(ParseCategorySequence(a + ";", forest).ok());
+  EXPECT_FALSE(ParseCategorySequence("+" + a, forest).ok());
+  const auto unknown = ParseCategorySequence(a + ",NoSuchCategory", forest);
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_NE(unknown.status().message().find("'NoSuchCategory'"),
+            std::string::npos);
+}
+
 TEST(WorkloadFileTest, RejectsPositionsWithoutAnyOf) {
   ScenarioSpec spec;
   spec.graph.target_vertices = 20;

@@ -39,8 +39,10 @@
 //             [--retriever auto|settle|bucket|resume] [--buckets FILE|build]
 //             [--trace-out FILE] [--trace-capacity N]
 //             [--explain] [--explain-out FILE]
-//       Runs one SkySR query (category names as in taxonomy.txt) and prints
-//       the skyline plus search statistics. --oracle builds (or --index
+//       Runs one SkySR query (category names as in taxonomy.txt; a
+//       position may use the workload-file predicate syntax: `A,B` any_of
+//       alternatives, `+C` all_of, `!D` none_of) and prints the skyline
+//       plus search statistics. --oracle builds (or --index
 //       loads) a distance oracle backing NNinit and the lower bounds;
 //       --buckets loads (or builds, with a CH oracle on hand) the category
 //       bucket tables and --retriever picks the expansion backend.
@@ -116,7 +118,6 @@
 #include "service/debug_page.h"
 #include "service/metrics_endpoint.h"
 #include "skysr.h"
-#include "util/string_util.h"
 #include "util/timer.h"
 
 namespace skysr {
@@ -586,15 +587,12 @@ int CmdQuery(const std::map<std::string, std::string>& flags) {
   }
   Query q;
   q.start = static_cast<VertexId>(std::atoi(flags.at("start").c_str()));
-  for (const auto name : Split(flags.at("categories"), ';')) {
-    const CategoryId c = ds->forest.FindByName(Trim(name));
-    if (c == kInvalidCategory) {
-      std::fprintf(stderr, "unknown category '%.*s'\n",
-                   static_cast<int>(name.size()), name.data());
-      return 2;
-    }
-    q.sequence.push_back(CategoryPredicate::Single(c));
+  auto sequence = ParseCategorySequence(flags.at("categories"), ds->forest);
+  if (!sequence.ok()) {
+    std::fprintf(stderr, "%s\n", sequence.status().message().c_str());
+    return 2;
   }
+  q.sequence = std::move(*sequence);
   if (flags.count("dest")) {
     q.destination =
         static_cast<VertexId>(std::atoi(flags.at("dest").c_str()));

@@ -128,6 +128,7 @@ struct WorkCounters {
   // Retrieval-subsystem paths (zero in the settle config).
   int64_t bucket_runs = 0;
   int64_t resume_runs = 0;
+  int64_t resume_rebinds = 0;  // shared-workspace rebuilds (not golden)
   int64_t fwd_searches = 0;
   int64_t fwd_reuses = 0;
   int64_t bucket_cands = 0;
@@ -228,6 +229,7 @@ FamilyResult RunFamily(const Scenario& sc, const BenchConfig& config,
     out.counters.lb_pois_scanned += r->stats.lb_pois_scanned;
     out.counters.bucket_runs += r->stats.retriever_bucket_runs;
     out.counters.resume_runs += r->stats.retriever_resume_runs;
+    out.counters.resume_rebinds += r->stats.resume_rebinds;
     out.counters.fwd_searches += r->stats.bucket_fwd_searches;
     out.counters.fwd_reuses += r->stats.bucket_fwd_reuses;
     out.counters.bucket_cands += r->stats.bucket_candidates;
@@ -531,6 +533,7 @@ int Main(int argc, char** argv) {
     json.Field("lb_pois_scanned", f.counters.lb_pois_scanned);
     json.Field("bucket_runs", f.counters.bucket_runs);
     json.Field("resume_runs", f.counters.resume_runs);
+    json.Field("resume_rebinds", f.counters.resume_rebinds);
     json.Field("bucket_fwd_searches", f.counters.fwd_searches);
     json.Field("bucket_fwd_reuses", f.counters.fwd_reuses);
     json.Field("bucket_candidates", f.counters.bucket_cands);

@@ -45,7 +45,9 @@ struct SharedCacheConfig {
   size_t fwd_capacity = 1024;
   /// Resumable slots kept across queries; 0 defers to the engine's
   /// cost-model default (RetrieverCostModel::ResumableSlots). Each slot
-  /// owns O(|V|) arrays — size this, not fwd_capacity, when memory-bound.
+  /// holds its search's frontier, settled ids and PoI settles, up to
+  /// O(|V|) for a search that covered the graph — size this, not
+  /// fwd_capacity, when memory-bound.
   int resume_slots = 0;
 };
 

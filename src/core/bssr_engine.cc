@@ -283,17 +283,17 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
       (xcache_ != nullptr && options.use_shared_cache) ? xcache_ : nullptr;
   SharedCacheCounters xc_before;
   if (exp != nullptr && xc != nullptr) xc_before = xc->Counters();
-  const int default_slots =
-      RetrieverCostModel::ResumableSlots(g_->num_vertices());
   ResumablePool& resume_pool = xc != nullptr ? xc->resume_pool() : ws_.resume;
   if (xc != nullptr) {
-    resume_pool.PrepareServing(xc->config().resume_slots > 0
-                                   ? xc->config().resume_slots
-                                   : default_slots);
+    resume_pool.PrepareServing(
+        xc->config().resume_slots > 0
+            ? xc->config().resume_slots
+            : RetrieverCostModel::ResumableSlots(g_->num_vertices()));
     resume_pool.BeginQuery();
   } else {
-    resume_pool.Reset(default_slots);
+    resume_pool.Reset();
   }
+  const int64_t rebinds_before = resume_pool.rebinds();
   ws_.qb.Reset(options.queue_discipline, k);
   QbQueue& qb = ws_.qb;
 
@@ -642,8 +642,9 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
 
     // Resumable backend: one suspended search per hot source serves every
     // position; a budget beyond the suspended coverage extends the search
-    // incrementally instead of re-settling its prefix. Falls through to the
-    // classic path when the slot pool is at capacity.
+    // incrementally instead of re-settling its prefix. Only a serving pool
+    // whose every slot this query touched refuses; the expansion then runs
+    // a plain fresh search that records no settle log.
     ResumableSlot* slot = nullptr;
     if (plan.resume_backend) slot = resume_pool.FindOrCreate(*g_, src);
     if (slot != nullptr) {
@@ -656,8 +657,9 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
       CandidateSoA* out = options.use_cache ? &cache.pool() : nullptr;
       const size_t pool_offset =
           options.use_cache ? cache.pool().size() : 0;
-      const ExpansionOutcome outcome = RetrieveResumable(
-          *g_, matcher, *slot, budget, consume_filtered, out, &run_stats);
+      const ExpansionOutcome outcome =
+          RetrieveResumable(*g_, matcher, resume_pool, *slot, budget,
+                            consume_filtered, out, &run_stats);
       stats.vertices_settled += run_stats.settled;
       stats.edges_relaxed += run_stats.relaxed;
       stats.weight_sum += run_stats.weight_sum;
@@ -665,46 +667,47 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
       return;
     }
 
-    if (options.use_cache) {
-      // Cross-position reuse: in deferred-Lemma-5.5 mode the traversal from
-      // `src` is matcher-independent, so a settle sequence recorded by ANY
-      // position's search replays for this one — a linear scan instead of a
-      // Dijkstra (see settle_log.h for the exactness argument).
-      if (needs_deferred_lemma55) {
-        const SettleLog::Entry* log = slog.Find(src);
-        if (log != nullptr && (log->meta.exhausted ||
-                               log->meta.covered_radius >= budget())) {
-          ++stats.settle_log_replays;
-          if (exp != nullptr) {
-            ++exp->positions[static_cast<size_t>(m)].settle_log_replays;
-          }
-          CandidateSoA& pool = cache.pool();
-          const size_t pool_offset = pool.size();
-          Weight break_dist = kInfWeight;
-          bool stopped = false;
-          for (const SettleRecord& rec : slog.RecordsOf(*log)) {
-            if (rec.dist >= budget()) {
-              break_dist = rec.dist;
-              stopped = true;
-              break;
-            }
-            const double sim = matcher.SimOfVertex(rec.vertex);
-            if (sim > 0) {
-              const ExpansionCandidate cand{rec.vertex, rec.dist, sim};
-              pool.push_back(cand);
-              consume_filtered(cand);
-            }
-          }
-          // The replay can never prove more coverage than the log itself:
-          // a relax-refusal-capped log has finite coverage with no breaking
-          // record, so consuming it fully is NOT exhaustion.
-          const Weight covered =
-              stopped ? std::min(break_dist, log->meta.covered_radius)
-                      : log->meta.covered_radius;
-          cache.Commit(src, m, pool_offset,
-                       ExpansionOutcome{covered, covered == kInfWeight});
-          return;
+    // Cross-position reuse: in deferred-Lemma-5.5 mode the traversal from
+    // `src` is matcher-independent, so a settle sequence recorded by ANY
+    // position's search replays for this one — a linear scan instead of a
+    // Dijkstra (see settle_log.h for the exactness argument). The resume
+    // backend keeps no settle log.
+    const bool use_settle_log =
+        options.use_cache && needs_deferred_lemma55 && !plan.resume_backend;
+    if (use_settle_log) {
+      const SettleLog::Entry* log = slog.Find(src);
+      if (log != nullptr && (log->meta.exhausted ||
+                             log->meta.covered_radius >= budget())) {
+        ++stats.settle_log_replays;
+        if (exp != nullptr) {
+          ++exp->positions[static_cast<size_t>(m)].settle_log_replays;
         }
+        CandidateSoA& pool = cache.pool();
+        const size_t pool_offset = pool.size();
+        Weight break_dist = kInfWeight;
+        bool stopped = false;
+        for (const SettleRecord& rec : slog.RecordsOf(*log)) {
+          if (rec.dist >= budget()) {
+            break_dist = rec.dist;
+            stopped = true;
+            break;
+          }
+          const double sim = matcher.SimOfVertex(rec.vertex);
+          if (sim > 0) {
+            const ExpansionCandidate cand{rec.vertex, rec.dist, sim};
+            pool.push_back(cand);
+            consume_filtered(cand);
+          }
+        }
+        // The replay can never prove more coverage than the log itself:
+        // a relax-refusal-capped log has finite coverage with no breaking
+        // record, so consuming it fully is NOT exhaustion.
+        const Weight covered =
+            stopped ? std::min(break_dist, log->meta.covered_radius)
+                    : log->meta.covered_radius;
+        cache.Commit(src, m, pool_offset,
+                     ExpansionOutcome{covered, covered == kInfWeight});
+        return;
       }
     }
 
@@ -720,8 +723,7 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
     CandidateSoA* out = options.use_cache ? &cache.pool() : nullptr;
     const size_t pool_offset = options.use_cache ? cache.pool().size() : 0;
     std::vector<SettleRecord>* slog_out =
-        (options.use_cache && needs_deferred_lemma55) ? &slog.pool()
-                                                      : nullptr;
+        use_settle_log ? &slog.pool() : nullptr;
     const size_t slog_offset = slog_out != nullptr ? slog_out->size() : 0;
     const ExpansionOutcome outcome =
         RunExpansionInto(*g_, matcher, src, budget, !needs_deferred_lemma55,
@@ -791,7 +793,9 @@ Result<QueryResult> BssrEngine::Run(const Query& query,
       arena.MemoryBytes() +
       static_cast<int64_t>(qb.peak_size() * sizeof(QbEntry)) +
       skyline.MemoryBytes() + cache.MemoryBytes() + slog.MemoryBytes() +
-      ws_.qb_dom.MemoryBytes() + ws_.prune_floors.MemoryBytes();
+      ws_.qb_dom.MemoryBytes() + ws_.prune_floors.MemoryBytes() +
+      (xc == nullptr ? resume_pool.MemoryBytes() : 0);
+  stats.resume_rebinds = resume_pool.rebinds() - rebinds_before;
 
   if (exp != nullptr) {
     if (xc != nullptr) {

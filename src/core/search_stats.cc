@@ -13,8 +13,8 @@ std::string SearchStats::ToString() const {
       "settled=%lld relaxed=%lld weight_sum=%.4f first_weight_sum=%.4f\n"
       "candidates: examined=%lld pruned=%lld (th=%lld floor=%lld) "
       "dup_rejected=%lld simd_skipped=%lld\n"
-      "retrieval: bucket_runs=%lld resume_runs=%lld fwd_searches=%lld "
-      "fwd_reuses=%lld bucket_cands=%lld\n"
+      "retrieval: bucket_runs=%lld resume_runs=%lld resume_rebinds=%lld "
+      "fwd_searches=%lld fwd_reuses=%lld bucket_cands=%lld\n"
       "nninit: %.3fms routes=%lld weight_sum=%.4f perfect_len=%.4f "
       "max_sem_len=%.4f\n"
       "bounds: %.3fms ls=%.4f lp=%.4f pois_scanned=%lld\n"
@@ -37,6 +37,7 @@ std::string SearchStats::ToString() const {
       static_cast<long long>(cand_simd_skipped),
       static_cast<long long>(retriever_bucket_runs),
       static_cast<long long>(retriever_resume_runs),
+      static_cast<long long>(resume_rebinds),
       static_cast<long long>(bucket_fwd_searches),
       static_cast<long long>(bucket_fwd_reuses),
       static_cast<long long>(bucket_candidates), nninit_ms,

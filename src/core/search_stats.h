@@ -35,6 +35,8 @@ struct SearchStats {
   // PoI-retrieval subsystem (src/retrieval/).
   int64_t retriever_bucket_runs = 0;  // expansions answered by bucket scans
   int64_t retriever_resume_runs = 0;  // expansions served by resumable slots
+  int64_t resume_rebinds = 0;         // shared-workspace rebuilds for a
+                                      // resumed slot's extension
   int64_t bucket_fwd_searches = 0;    // forward upward searches run
   int64_t bucket_fwd_reuses = 0;      // forward searches replayed from cache
   int64_t bucket_candidates = 0;      // candidates materialized by scans

@@ -92,6 +92,11 @@ class DijkstraWorkspace {
   /// same workspace), which the epoch scheme already requires.
   DaryHeap<DijkstraHeapItem>& heap() { return heap_; }
 
+  int64_t MemoryBytes() const {
+    return static_cast<int64_t>(slots_.capacity() * sizeof(Slot) +
+                                heap_.capacity() * sizeof(DijkstraHeapItem));
+  }
+
  private:
   struct Slot {
     uint32_t stamp = 0;

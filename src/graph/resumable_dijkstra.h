@@ -7,7 +7,8 @@
 // instances affordable (one per PNE route end), at ~an order of magnitude
 // per-settle overhead over flat arrays — which is why the serving path
 // never uses this class: BssrEngine's resumable expansions run on the
-// flat-array slots of retrieval/resumable_retriever.h instead. The two
+// compact slots of retrieval/resumable_retriever.h, which share one flat
+// workspace per pool, instead. The two
 // implementations settle identical sequences;
 // tests/retrieval_test.cc:MatchesHashMapResumableDijkstra pins the
 // equivalence.

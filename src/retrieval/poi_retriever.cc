@@ -70,7 +70,7 @@ class BucketBackend final : public PoiRetriever {
 
 class ResumableBackend final : public PoiRetriever {
  public:
-  explicit ResumableBackend(const Graph& g) : g_(&g) { pool_.Reset(); }
+  explicit ResumableBackend(const Graph& g) : g_(&g) {}
   RetrieverKind kind() const override { return RetrieverKind::kResume; }
 
   ExpansionOutcome Retrieve(
@@ -78,15 +78,11 @@ class ResumableBackend final : public PoiRetriever {
       const std::function<Weight()>& budget_fn,
       const std::function<void(const ExpansionCandidate&)>& on_candidate)
       override {
+    // A pool outside serving mode never refuses a slot: this one keeps one
+    // suspended search per distinct source for the backend's lifetime.
     ResumableSlot* slot = pool_.FindOrCreate(*g_, source);
-    if (slot == nullptr) {  // pool full: classic search, no suspension
-      ExpansionScratch scratch;
-      return SettleRetriever::RetrieveInto(*g_, matcher, source, budget_fn,
-                                           /*apply_lemma55=*/false, scratch,
-                                           nullptr, on_candidate, nullptr);
-    }
-    return RetrieveResumable(*g_, matcher, *slot, budget_fn, on_candidate,
-                             nullptr, nullptr);
+    return RetrieveResumable(*g_, matcher, pool_, *slot, budget_fn,
+                             on_candidate, nullptr, nullptr);
   }
 
  private:

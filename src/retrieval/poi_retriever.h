@@ -13,7 +13,7 @@
 //                       (category_buckets + bucket_retriever) — answers
 //                       deferred-mode expansions without settling road
 //                       vertices; wins grow with graph size
-//   ResumableRetriever  flat suspend/resume settle state per hot source
+//   ResumableRetriever  compact suspend/resume settle state per hot source
 //                       (resumable_retriever) — turns cache/settle-log
 //                       rebuilds into incremental extensions
 //
@@ -69,8 +69,12 @@ struct RetrieverCostModel {
            static_cast<double>(num_vertices);
   }
 
-  /// Resumable slots per engine: each slot owns O(|V|) flat arrays, so the
-  /// count adapts to the graph — a fixed slot-vertex budget, clamped.
+  /// Resumable slots an engine-lifetime pool keeps across queries (the
+  /// per-query pool is unbounded). A slot holds O(settled) state — its
+  /// frontier, its settled ids and its PoI settles — and a hot source's
+  /// search tends to cover much of the graph over a serving session, so
+  /// the count still follows a fixed slot-vertex budget, clamped: it caps
+  /// what a worker retains between queries.
   static int ResumableSlots(int64_t num_vertices) {
     constexpr int64_t kSlotVertexBudget = int64_t{1} << 21;
     const int64_t slots = kSlotVertexBudget / (num_vertices > 0
@@ -106,8 +110,7 @@ std::unique_ptr<PoiRetriever> MakePoiRetriever(const Graph& g);
 /// matcher per call).
 std::unique_ptr<PoiRetriever> MakePoiRetriever(
     const CategoryBucketIndex& index);
-/// Resumable backend over `g` (suspends one search per distinct source, up
-/// to the pool default).
+/// Resumable backend over `g` (suspends one search per distinct source).
 std::unique_ptr<PoiRetriever> MakeResumablePoiRetriever(const Graph& g);
 
 }  // namespace skysr

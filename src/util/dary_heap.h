@@ -7,6 +7,7 @@
 #define SKYSR_UTIL_DARY_HEAP_H_
 
 #include <cstddef>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -31,6 +32,12 @@ class DaryHeap {
 
   void clear() { items_.clear(); }
   void reserve(size_t n) { items_.reserve(n); }
+  size_t capacity() const { return items_.capacity(); }
+  /// Empties the heap and returns its storage to the allocator.
+  void release() { std::vector<T>().swap(items_); }
+
+  /// The stored elements in heap (not sorted) order.
+  std::span<const T> items() const { return items_; }
 
   /// Replaces the comparator. Only valid while the heap is empty (otherwise
   /// the heap property under the new order is not re-established).

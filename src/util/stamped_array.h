@@ -41,6 +41,11 @@ class StampedArray {
     values_[ui] = std::move(value);
   }
 
+  int64_t MemoryBytes() const {
+    return static_cast<int64_t>(stamp_.capacity() * sizeof(uint32_t) +
+                                values_.capacity() * sizeof(T));
+  }
+
  private:
   std::vector<uint32_t> stamp_;
   std::vector<T> values_;

@@ -5,6 +5,7 @@
 // bucket-table persistence, and workspace-reuse determinism with buckets
 // enabled.
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -160,32 +161,101 @@ TEST(PoiRetrieverTest, BackendsStreamIdenticalCandidates) {
   }
 }
 
-// The flat resumable state must settle exactly the sequence the legacy
+// Distances of a full reference Dijkstra from `src` (+inf where
+// unreachable).
+std::vector<Weight> DistancesFrom(const Graph& g, VertexId src) {
+  DijkstraWorkspace dws;
+  std::vector<Weight> dist(static_cast<size_t>(g.num_vertices()), kInfWeight);
+  RunDijkstra(g, src, dws, [&](VertexId v, Weight d, VertexId) {
+    dist[static_cast<size_t>(v)] = d;
+    return VisitAction::kContinue;
+  });
+  return dist;
+}
+
+// What a fresh matcher-filtered search emits under a fixed budget.
+std::vector<Emitted> FreshStream(const Graph& g, const PositionMatcher& matcher,
+                                 VertexId src, Weight budget) {
+  std::vector<Emitted> out;
+  ExpansionScratch scratch;
+  (void)RunExpansion(g, matcher, src, [budget] { return budget; },
+                     /*apply_lemma55=*/false, scratch,
+                     [&](const ExpansionCandidate& c) {
+                       out.push_back(Emitted{c.vertex, c.dist, c.sim});
+                     },
+                     nullptr);
+  return out;
+}
+
+std::vector<Emitted> SlotStream(const Graph& g, const PositionMatcher& matcher,
+                                ResumablePool& pool, ResumableSlot& slot,
+                                Weight budget,
+                                ExpansionOutcome* outcome = nullptr,
+                                DijkstraRunStats* stats = nullptr) {
+  std::vector<Emitted> out;
+  const ExpansionOutcome o = RetrieveResumable(
+      g, matcher, pool, slot, [budget] { return budget; },
+      [&](const ExpansionCandidate& c) {
+        out.push_back(Emitted{c.vertex, c.dist, c.sim});
+      },
+      nullptr, stats);
+  if (outcome != nullptr) *outcome = o;
+  return out;
+}
+
+// The compact resumable state must settle exactly the sequence the legacy
 // hash-map ResumableDijkstra produces — the equivalence pin for retiring
-// the hash-map implementation from the hot path.
+// the hash-map implementation from the hot path. A suspended slot's
+// settled ids are that sequence's prefix below the budget, its PoI log is
+// the PoI subsequence, and the exhausted slot keeps only the PoI log.
 TEST(ResumableRetrieverTest, MatchesHashMapResumableDijkstra) {
   const Scenario sc =
       MakeScenario(RetrievalSpec(GraphFamily::kSmallWorld, 903));
   const Graph& g = sc.dataset.graph;
   const auto matchers = MatchersOf(sc, sc.queries[0]);
   ResumablePool pool;
-  pool.Reset(4);
+  pool.Reset();
   for (int i = 0; i < 4; ++i) {
     const auto src = static_cast<VertexId>((g.num_vertices() * i) / 4);
+    std::vector<SettleRecord> ref;
+    ResumableDijkstra rd(g, src);
+    while (const auto settle = rd.Next()) {
+      ref.push_back(SettleRecord{settle->vertex, settle->dist});
+    }
+    ASSERT_GE(ref.size(), 2u) << "src " << src;
+    std::vector<SettleRecord> ref_pois;
+    for (const SettleRecord& rec : ref) {
+      if (g.IsPoiVertex(rec.vertex)) ref_pois.push_back(rec);
+    }
+
     ResumableSlot* slot = pool.FindOrCreate(g, src);
     ASSERT_NE(slot, nullptr);
-    (void)RetrieveResumable(
-        g, matchers[0], *slot, [] { return kInfWeight; },
-        [](const ExpansionCandidate&) {}, nullptr, nullptr);
-    EXPECT_TRUE(slot->exhausted);
-    ResumableDijkstra rd(g, src);
-    for (const SettleRecord& rec : slot->log) {
-      const auto settle = rd.Next();
-      ASSERT_TRUE(settle.has_value()) << "src " << src;
-      EXPECT_EQ(settle->vertex, rec.vertex);
-      EXPECT_EQ(settle->dist, rec.dist);
+    // Suspend below the farthest settle: the slot holds a strict prefix.
+    const Weight budget = ref.back().dist;
+    (void)SlotStream(g, matchers[0], pool, *slot, budget);
+    ASSERT_FALSE(slot->exhausted);
+    ASSERT_LT(slot->settled.size(), ref.size());
+    for (size_t j = 0; j < slot->settled.size(); ++j) {
+      EXPECT_EQ(slot->settled[j], ref[j].vertex) << "src " << src;
     }
-    EXPECT_FALSE(rd.Next().has_value()) << "src " << src;
+    EXPECT_EQ(slot->covered, ref[slot->settled.size()].dist);
+    EXPECT_GE(slot->covered, budget);
+    for (size_t j = 0; j < slot->poi_log.size(); ++j) {
+      ASSERT_LT(j, ref_pois.size());
+      EXPECT_EQ(slot->poi_log[j].vertex, ref_pois[j].vertex);
+      EXPECT_EQ(slot->poi_log[j].dist, ref_pois[j].dist);
+      EXPECT_LT(slot->poi_log[j].dist, budget);
+    }
+
+    (void)SlotStream(g, matchers[0], pool, *slot, kInfWeight);
+    EXPECT_TRUE(slot->exhausted);
+    EXPECT_EQ(slot->settled.capacity(), 0u) << "freed once exhausted";
+    EXPECT_EQ(slot->heap.capacity(), 0u) << "freed once exhausted";
+    ASSERT_EQ(slot->poi_log.size(), ref_pois.size()) << "src " << src;
+    for (size_t j = 0; j < ref_pois.size(); ++j) {
+      EXPECT_EQ(slot->poi_log[j].vertex, ref_pois[j].vertex);
+      EXPECT_EQ(slot->poi_log[j].dist, ref_pois[j].dist);
+    }
   }
 }
 
@@ -200,43 +270,164 @@ TEST(ResumableRetrieverTest, GrowingBudgetsMatchFreshSearches) {
   const VertexId src = static_cast<VertexId>(g.num_vertices() / 3);
 
   // Reference distances to pick meaningful budget steps.
-  DijkstraWorkspace dws;
+  const std::vector<Weight> dist = DistancesFrom(g, src);
   Weight max_dist = 0;
-  RunDijkstra(g, src, dws, [&](VertexId, Weight d, VertexId) {
-    max_dist = d;
-    return VisitAction::kContinue;
-  });
+  for (const Weight d : dist) {
+    if (d != kInfWeight) max_dist = std::max(max_dist, d);
+  }
 
   ResumablePool pool;
-  pool.Reset(1);
+  pool.Reset();
   ResumableSlot* slot = pool.FindOrCreate(g, src);
   ASSERT_NE(slot, nullptr);
   int64_t settles_before = 0;
   for (const double frac : {0.25, 0.5, 1.01}) {
     const Weight budget = max_dist * frac;
-    std::vector<Emitted> got;
     DijkstraRunStats rstats;
-    (void)RetrieveResumable(g, matcher, *slot, [budget] { return budget; },
-                            [&](const ExpansionCandidate& c) {
-                              got.push_back(Emitted{c.vertex, c.dist, c.sim});
-                            },
-                            nullptr, &rstats);
-    // Fresh search at the same budget.
-    std::vector<Emitted> ref;
-    ExpansionScratch scratch;
-    (void)RunExpansion(g, matcher, src, [budget] { return budget; },
-                       /*apply_lemma55=*/false, scratch,
-                       [&](const ExpansionCandidate& c) {
-                         ref.push_back(Emitted{c.vertex, c.dist, c.sim});
-                       },
-                       nullptr);
-    ExpectSameStream(got, ref, "resume growing budget");
-    // The slot never re-settles its prefix: total settles stay bounded by
-    // the log length.
-    EXPECT_EQ(settles_before + rstats.settled,
-              static_cast<int64_t>(slot->log.size()));
-    settles_before = static_cast<int64_t>(slot->log.size());
+    ExpectSameStream(
+        SlotStream(g, matcher, pool, *slot, budget, nullptr, &rstats),
+        FreshStream(g, matcher, src, budget), "resume growing budget");
+    // The slot never re-settles its prefix: the settles so far are exactly
+    // the vertices closer than the budget.
+    int64_t below = 0;
+    for (const Weight d : dist) below += d < budget ? 1 : 0;
+    EXPECT_EQ(settles_before + rstats.settled, below);
+    settles_before += rstats.settled;
   }
+  EXPECT_TRUE(slot->exhausted);
+  EXPECT_EQ(pool.rebinds(), 0) << "one slot never rebuilds the workspace";
+}
+
+// Slots share one workspace: extending A, then B, then A again must rebuild
+// A's labels from its settled ids and frontier and still emit exactly what
+// fresh searches emit, at every step and for every position's matcher.
+TEST(ResumableRetrieverTest, InterleavedSlotsMatchFreshSearches) {
+  for (const GraphFamily family :
+       {GraphFamily::kGrid, GraphFamily::kCluster, GraphFamily::kSmallWorld}) {
+    const Scenario sc = MakeScenario(RetrievalSpec(family, 908));
+    const Graph& g = sc.dataset.graph;
+    const auto matchers = MatchersOf(sc, sc.queries[1]);
+    const VertexId a = static_cast<VertexId>(g.num_vertices() / 5);
+    const VertexId b = static_cast<VertexId>((g.num_vertices() * 4) / 5);
+    Weight reach = 0;
+    for (const VertexId v : {a, b}) {
+      for (const Weight d : DistancesFrom(g, v)) {
+        if (d != kInfWeight) reach = std::max(reach, d);
+      }
+    }
+
+    // The same steps on one pool, and with each source in a pool of its
+    // own (never rebuilt).
+    ResumablePool pool;
+    ResumablePool own_a;
+    ResumablePool own_b;
+    pool.Reset();
+    own_a.Reset();
+    own_b.Reset();
+    ResumableSlot* sa = pool.FindOrCreate(g, a);
+    ResumableSlot* sb = pool.FindOrCreate(g, b);
+    ASSERT_NE(sa, sb);
+    const struct {
+      bool is_a;
+      double frac;
+    } steps[] = {{true, 0.2},  {false, 0.3}, {true, 0.45}, {false, 0.25},
+                 {false, 0.6}, {true, 0.3},  {true, 1.01}, {false, 1.01}};
+    int step = 0;
+    for (const auto& st : steps) {
+      const PositionMatcher& matcher =
+          matchers[static_cast<size_t>(step++) % matchers.size()];
+      const Weight budget = reach * st.frac;
+      const VertexId src = st.is_a ? a : b;
+      ResumablePool& own = st.is_a ? own_a : own_b;
+      DijkstraRunStats shared_stats;
+      DijkstraRunStats own_stats;
+      const auto got = SlotStream(g, matcher, pool, st.is_a ? *sa : *sb,
+                                  budget, nullptr, &shared_stats);
+      ExpectSameStream(got, FreshStream(g, matcher, src, budget),
+                       sc.spec.name.c_str());
+      ResumableSlot& own_slot = *own.FindOrCreate(g, src);
+      ExpectSameStream(got,
+                       SlotStream(g, matcher, own, own_slot, budget, nullptr,
+                                  &own_stats),
+                       sc.spec.name.c_str());
+      // A rebuilt workspace is the suspended state exactly: the same
+      // relaxations are accepted, not just the same vertices settled...
+      EXPECT_EQ(shared_stats.settled, own_stats.settled) << "step " << step;
+      EXPECT_EQ(shared_stats.relaxed, own_stats.relaxed) << "step " << step;
+      // ...and, label by label, a workspace rebuilt from the shared slot
+      // (in a pool of its own, so the counters above are untouched) equals
+      // the never-rebuilt one: the settled marks, and each frontier
+      // vertex's distance and parent. An exhausted slot keeps neither and
+      // never extends again.
+      if (own_slot.exhausted) continue;
+      ResumablePool probe;
+      const DijkstraWorkspace& rebuilt =
+          probe.Bind(g, st.is_a ? *sa : *sb);
+      const DijkstraWorkspace& live = own.Bind(g, own_slot);
+      for (VertexId v = 0; v < g.num_vertices(); ++v) {
+        ASSERT_EQ(rebuilt.Settled(v), live.Settled(v)) << "vertex " << v;
+        if (live.Settled(v)) continue;
+        ASSERT_EQ(rebuilt.Dist(v), live.Dist(v)) << "vertex " << v;
+        ASSERT_EQ(rebuilt.Parent(v), live.Parent(v)) << "vertex " << v;
+      }
+    }
+    EXPECT_TRUE(sa->exhausted && sb->exhausted);
+    EXPECT_EQ(own_a.rebinds() + own_b.rebinds(), 0);
+    // Six binds (A, B, A, B, A, B); the first of each slot starts empty,
+    // the other four rebuild a slot that had settled.
+    EXPECT_EQ(pool.rebinds(), 4) << sc.spec.name;
+  }
+}
+
+// A replay from the PoI-only log stops at the first PoI record at or beyond
+// the budget and reports its distance as the coverage: no PoI lies in
+// [budget, coverage), so the coverage is never below the settle-level one
+// and the emissions up to it are exactly a fresh search's.
+TEST(ResumableRetrieverTest, PoiLogReplayReportsValidCoverage) {
+  const Scenario sc = MakeScenario(RetrievalSpec(GraphFamily::kCluster, 909));
+  const Graph& g = sc.dataset.graph;
+  const auto matchers = MatchersOf(sc, sc.queries[2]);
+  const VertexId src = static_cast<VertexId>(g.num_vertices() / 2);
+  const std::vector<Weight> dist = DistancesFrom(g, src);
+  std::vector<Weight> sorted;
+  for (const Weight d : dist) {
+    if (d != kInfWeight) sorted.push_back(d);
+  }
+  std::sort(sorted.begin(), sorted.end());
+
+  ResumablePool pool;
+  pool.Reset();
+  ResumableSlot* slot = pool.FindOrCreate(g, src);
+  (void)SlotStream(g, matchers[0], pool, *slot, kInfWeight);
+  ASSERT_TRUE(slot->exhausted);
+
+  int replays = 0;
+  for (size_t i = 1; i < sorted.size(); i += sorted.size() / 17 + 1) {
+    const Weight budget = sorted[i];
+    // First PoI at or beyond the budget, and first vertex of any kind.
+    Weight first_poi = kInfWeight;
+    for (PoiId p = 0; p < g.num_pois(); ++p) {
+      const Weight d = dist[static_cast<size_t>(g.VertexOfPoi(p))];
+      if (d >= budget) first_poi = std::min(first_poi, d);
+    }
+    for (const PositionMatcher& matcher : matchers) {
+      ExpansionOutcome outcome;
+      const auto got = SlotStream(g, matcher, pool, *slot, budget, &outcome);
+      ExpectSameStream(got, FreshStream(g, matcher, src, budget),
+                       "poi replay");
+      EXPECT_EQ(outcome.covered_radius, first_poi) << "budget " << budget;
+      EXPECT_EQ(outcome.exhausted, first_poi == kInfWeight);
+      EXPECT_GE(outcome.covered_radius, budget);
+      // Valid coverage: the fresh stream below it is the same.
+      if (first_poi != kInfWeight) {
+        ExpectSameStream(got, FreshStream(g, matcher, src, first_poi),
+                         "poi replay at coverage");
+      }
+      ++replays;
+    }
+  }
+  EXPECT_GT(replays, 10);
+  EXPECT_EQ(pool.rebinds(), 0) << "replays never touch the workspace";
 }
 
 // Engine-level: every retriever kind must produce bit-identical skylines

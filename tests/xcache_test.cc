@@ -9,10 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include "baseline/brute_force.h"
 #include "cache/fwd_search_cache.h"
 #include "cache/shared_query_cache.h"
 #include "core/bssr_engine.h"
 #include "retrieval/bucket_retriever.h"
+#include "scenario/diff_check.h"
 #include "scenario/scenario.h"
 #include "service/query_service.h"
 
@@ -145,8 +147,7 @@ TEST(SharedQueryCacheTest, RebindInvalidatesAndRefusesMismatchedSnapshots) {
 
 // Engine-lifetime resumable slots: PrepareServing keeps suspended state
 // across queries, reuses are counted once per slot per query, CLOCK spares
-// the slot the current query touched, and per-query mode still refuses
-// (returns null) at capacity instead of evicting.
+// the slot the current query touched, and per-query mode has no bound.
 TEST(ResumablePoolTest, PersistentModeKeepsReusesAndEvicts) {
   const Scenario sc = MakeScenario(ServingSpec(GraphFamily::kGrid, 930));
   const Graph& g = sc.dataset.graph;
@@ -174,13 +175,62 @@ TEST(ResumablePoolTest, PersistentModeKeepsReusesAndEvicts) {
   EXPECT_EQ(pool.evictions(), 1);
   EXPECT_EQ(s2, s1);
   EXPECT_EQ(s2->source, 2);
+  EXPECT_EQ(pool.FindOrCreate(g, 2), s2);
 
-  // Per-query mode: capacity overflow falls back (nullptr), never evicts.
-  pool.Reset(1);
+  // Per-query mode: no bound, never evicts.
+  pool.Reset();
   EXPECT_FALSE(pool.persistent());
-  EXPECT_NE(pool.FindOrCreate(g, 3), nullptr);
-  EXPECT_EQ(pool.FindOrCreate(g, 4), nullptr);
+  for (VertexId v = 0; v < 40; ++v) EXPECT_NE(pool.FindOrCreate(g, v), nullptr);
+  EXPECT_EQ(pool.live(), 40);
   EXPECT_EQ(pool.evictions(), 1);
+}
+
+// A query that touches more sources than the bound keeps every slot it
+// touched: the overflow gets nullptr (a plain fresh search in the engine)
+// instead of evicting a slot an earlier expansion of the same query may
+// resume. The next query may evict them again.
+TEST(ResumablePoolTest, QueryNeverEvictsItsOwnSlots) {
+  const Scenario sc = MakeScenario(ServingSpec(GraphFamily::kGrid, 935));
+  const Graph& g = sc.dataset.graph;
+  const auto matcher = PositionMatcher(g, sc.dataset.forest,
+                                       *DefaultSimilarity(),
+                                       sc.queries[0].sequence[0],
+                                       MultiCategoryMode::kMaxSimilarity);
+
+  ResumablePool pool;
+  pool.PrepareServing(2);
+  pool.BeginQuery();
+  ResumableSlot* s0 = pool.FindOrCreate(g, 10);
+  ResumableSlot* s1 = pool.FindOrCreate(g, 20);
+  ASSERT_NE(s0, nullptr);
+  ASSERT_NE(s1, nullptr);
+  (void)RetrieveResumable(
+      g, matcher, pool, *s0, [] { return Weight{0.5}; },
+      [](const ExpansionCandidate&) {}, nullptr, nullptr);
+  const size_t s0_settled = s0->settled.size();
+  for (VertexId v = 30; v < 40; ++v) {
+    EXPECT_EQ(pool.FindOrCreate(g, v), nullptr) << "source " << v;
+  }
+  EXPECT_EQ(pool.evictions(), 0);
+  EXPECT_EQ(s0->source, 10);
+  EXPECT_EQ(s1->source, 20);
+  EXPECT_EQ(s0->settled.size(), s0_settled);
+  EXPECT_EQ(pool.FindOrCreate(g, 10), s0);
+  EXPECT_EQ(pool.FindOrCreate(g, 20), s1);
+
+  // Next query: the touched bits are cleared, so a new source evicts.
+  pool.PrepareServing(2);
+  pool.BeginQuery();
+  EXPECT_EQ(pool.FindOrCreate(g, 20), s1);
+  ResumableSlot* s3 = pool.FindOrCreate(g, 30);
+  EXPECT_EQ(s3, s0);
+  EXPECT_EQ(pool.evictions(), 1);
+  EXPECT_EQ(pool.FindOrCreate(g, 40), nullptr);
+
+  // A zero bound keeps nothing.
+  pool.PrepareServing(0);
+  pool.BeginQuery();
+  EXPECT_EQ(pool.FindOrCreate(g, 10), nullptr);
 }
 
 TEST(SharedQueryCacheTest, WarmStateChecksumSeparatesStructures) {
@@ -318,6 +368,61 @@ TEST(XCacheServingTest, QueryServiceSharedCacheOnOffBitIdentical) {
   EXPECT_GE(wm.xcache_resident_bytes, 0);
   const MetricsSnapshot cm = cold.Metrics();
   EXPECT_EQ(cm.xcache_fwd_hits + cm.xcache_fwd_misses, 0);
+}
+
+// A serving pool smaller than a query's source set: with two slots per
+// worker most expansions overflow to plain fresh searches, while the slots
+// the query touched stay resumable across its expansions and across
+// queries. Every answer must be bit-identical to brute force and to a
+// cacheless engine's.
+TEST(XCacheServingTest, TwoSlotServiceMatchesBruteForce) {
+  ScenarioSpec spec = ServingSpec(GraphFamily::kCluster, 936);
+  spec.graph.target_vertices = 160;
+  spec.pois.num_pois = 36;
+  spec.workload.num_queries = 12;
+  const Scenario sc = MakeScenario(spec);
+  const Graph& g = sc.dataset.graph;
+  const ChOracle ch = ChOracle::Build(g);
+  const CategoryBucketIndex buckets = CategoryBucketIndex::Build(g, ch);
+
+  std::vector<Query> workload;
+  for (int round = 0; round < 2; ++round) {
+    workload.insert(workload.end(), sc.queries.begin(), sc.queries.end());
+  }
+  ServiceConfig cfg;
+  cfg.num_threads = 2;
+  cfg.cache_capacity = 0;  // every repeat runs the engine
+  cfg.oracle = &ch;
+  cfg.buckets = &buckets;
+  cfg.xcache_resume_slots = 2;
+  cfg.default_options.retriever = RetrieverKind::kResume;
+  QueryService service(g, sc.dataset.forest, cfg);
+  const auto results = service.RunBatch(workload);
+
+  BssrEngine cacheless(g, sc.dataset.forest);
+  int64_t resume_runs = 0;
+  int64_t overflow_runs = 0;
+  ASSERT_EQ(results.size(), workload.size());
+  for (size_t i = 0; i < workload.size(); ++i) {
+    ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
+    const QueryResult& got = results[i].ValueOrDie();
+    const auto brute =
+        BruteForceSkySr(g, sc.dataset.forest, workload[i], QueryOptions());
+    ASSERT_TRUE(brute.ok());
+    EXPECT_TRUE(BitIdenticalSkylines(got.routes, *brute))
+        << "query " << i << ": " << RenderSkyline(got.routes) << " vs "
+        << RenderSkyline(*brute);
+    const auto want = cacheless.Run(workload[i]);
+    ASSERT_TRUE(want.ok());
+    ExpectSameRoutes(got, *want, "two-slot service");
+    resume_runs += got.stats.retriever_resume_runs;
+    if (got.stats.retriever_resume_runs > 0) {
+      overflow_runs += got.stats.mdijkstra_runs;
+    }
+  }
+  // Both paths ran: resumed slots, and fresh searches past the bound.
+  EXPECT_GT(resume_runs, 0);
+  EXPECT_GT(overflow_runs, 0);
 }
 
 }  // namespace

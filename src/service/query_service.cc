@@ -119,7 +119,6 @@ void QueryService::WorkerLoop(int thread_index) {
   if (config_.shared_query_cache) {
     SharedCacheConfig cache_config;
     cache_config.fwd_capacity = config_.xcache_fwd_capacity;
-    cache_config.resume_slots = config_.xcache_resume_slots;
     xcache.emplace(cache_config);
     engine.AttachSharedCache(&*xcache);
     if (warm_snapshot_ != nullptr) xcache->SetSnapshot(warm_snapshot_);

@@ -85,9 +85,6 @@ struct ServiceConfig {
   /// Per-worker forward-search cache capacity, in (source, settle-list)
   /// entries.
   size_t xcache_fwd_capacity = 1024;
-  /// Per-worker resumable slots kept across queries
-  /// (SharedCacheConfig::resume_slots); 0 keeps the cost-model default.
-  int xcache_resume_slots = 0;
   /// PoI vertices (first N in PoiId order, duplicates skipped) whose
   /// forward searches are precomputed into the shared snapshot before the
   /// workers start; 0 skips the snapshot. Needs `buckets`.

@@ -370,11 +370,13 @@ TEST(XCacheServingTest, QueryServiceSharedCacheOnOffBitIdentical) {
   EXPECT_EQ(cm.xcache_fwd_hits + cm.xcache_fwd_misses, 0);
 }
 
-// A serving pool smaller than a query's source set: with two slots per
-// worker most expansions overflow to plain fresh searches, while the slots
-// the query touched stay resumable across its expansions and across
-// queries. Every answer must be bit-identical to brute force and to a
-// cacheless engine's.
+// A serving pool smaller than a query's source set: with two slots most
+// expansions overflow to plain fresh searches, while the slots the query
+// touched stay resumable across its expansions and across queries. The
+// engine is set up as each QueryService worker sets up its own (a
+// BssrEngine over the shared oracle and buckets with a private
+// SharedQueryCache), and runs the workload twice. Every answer must be
+// bit-identical to brute force and to a cacheless engine's.
 TEST(XCacheServingTest, TwoSlotServiceMatchesBruteForce) {
   ScenarioSpec spec = ServingSpec(GraphFamily::kCluster, 936);
   spec.graph.target_vertices = 160;
@@ -385,44 +387,41 @@ TEST(XCacheServingTest, TwoSlotServiceMatchesBruteForce) {
   const ChOracle ch = ChOracle::Build(g);
   const CategoryBucketIndex buckets = CategoryBucketIndex::Build(g, ch);
 
-  std::vector<Query> workload;
-  for (int round = 0; round < 2; ++round) {
-    workload.insert(workload.end(), sc.queries.begin(), sc.queries.end());
-  }
-  ServiceConfig cfg;
-  cfg.num_threads = 2;
-  cfg.cache_capacity = 0;  // every repeat runs the engine
-  cfg.oracle = &ch;
-  cfg.buckets = &buckets;
-  cfg.xcache_resume_slots = 2;
-  cfg.default_options.retriever = RetrieverKind::kResume;
-  QueryService service(g, sc.dataset.forest, cfg);
-  const auto results = service.RunBatch(workload);
-
+  BssrEngine serving(g, sc.dataset.forest, &ch, &buckets);
+  SharedCacheConfig cache_config;
+  cache_config.resume_slots = 2;
+  SharedQueryCache cache(cache_config);
+  serving.AttachSharedCache(&cache);
   BssrEngine cacheless(g, sc.dataset.forest);
+
+  QueryOptions opts;
+  opts.retriever = RetrieverKind::kResume;
   int64_t resume_runs = 0;
   int64_t overflow_runs = 0;
-  ASSERT_EQ(results.size(), workload.size());
-  for (size_t i = 0; i < workload.size(); ++i) {
-    ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
-    const QueryResult& got = results[i].ValueOrDie();
-    const auto brute =
-        BruteForceSkySr(g, sc.dataset.forest, workload[i], QueryOptions());
-    ASSERT_TRUE(brute.ok());
-    EXPECT_TRUE(BitIdenticalSkylines(got.routes, *brute))
-        << "query " << i << ": " << RenderSkyline(got.routes) << " vs "
-        << RenderSkyline(*brute);
-    const auto want = cacheless.Run(workload[i]);
-    ASSERT_TRUE(want.ok());
-    ExpectSameRoutes(got, *want, "two-slot service");
-    resume_runs += got.stats.retriever_resume_runs;
-    if (got.stats.retriever_resume_runs > 0) {
-      overflow_runs += got.stats.mdijkstra_runs;
+  for (int round = 0; round < 2; ++round) {
+    for (size_t i = 0; i < sc.queries.size(); ++i) {
+      const Query& q = sc.queries[i];
+      const auto got = serving.Run(q, opts);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      const auto brute =
+          BruteForceSkySr(g, sc.dataset.forest, q, QueryOptions());
+      ASSERT_TRUE(brute.ok());
+      EXPECT_TRUE(BitIdenticalSkylines(got->routes, *brute))
+          << "round " << round << " query " << i << ": "
+          << RenderSkyline(got->routes) << " vs " << RenderSkyline(*brute);
+      const auto want = cacheless.Run(q);
+      ASSERT_TRUE(want.ok());
+      ExpectSameRoutes(*got, *want, "two-slot engine");
+      resume_runs += got->stats.retriever_resume_runs;
+      if (got->stats.retriever_resume_runs > 0) {
+        overflow_runs += got->stats.mdijkstra_runs;
+      }
     }
   }
   // Both paths ran: resumed slots, and fresh searches past the bound.
   EXPECT_GT(resume_runs, 0);
   EXPECT_GT(overflow_runs, 0);
+  EXPECT_GT(cache.Counters().resume_reuses, 0);
 }
 
 }  // namespace
